@@ -1,10 +1,10 @@
 """Measurement records, table formatting and growth-curve fitting.
 
 The experiment harness (``benchmarks/``) produces per-instance
-:class:`Measurement` records; this package turns them into the text tables
-recorded in EXPERIMENTS.md and fits simple growth models (``log n``,
-``log n / log log n``, ``log^β n``) to measured round counts so that the
-*shape* claims of the paper can be checked quantitatively.
+:class:`Measurement` records; this package turns them into text tables
+and fits simple growth models (``log n``, ``log n / log log n``,
+``log^β n``) to measured round counts so that the *shape* claims of the
+paper can be checked quantitatively.
 """
 
 from repro.analysis.measurement import (

@@ -19,7 +19,7 @@ This module provides:
 * the analytic round predictions of Theorem 12 and Theorem 15, used by the
   experiment harness to reproduce the *shape* of Theorem 3 for the
   paper-cited ``f(Δ) = log^{12} Δ`` black box that is not reimplemented
-  here (see DESIGN.md, "Substitutions").
+  here.
 """
 
 from __future__ import annotations

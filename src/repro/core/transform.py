@@ -31,7 +31,7 @@ When an :class:`~repro.baselines.adapters.OracleCostModel` is supplied the
 cut-off ``k`` is chosen from the model's complexity function and the
 ``A``-phase is *additionally* charged analytically (``f(k) + log* n``
 rounds) — this is how the shape of Theorem 3 is reproduced without
-reimplementing the [BBKO22b] black box (see DESIGN.md).
+reimplementing the [BBKO22b] black box.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from repro.problems.verification import VerificationResult
 from repro.semigraph import (
     HalfEdgeLabeling,
     SemiGraph,
+    component_diameters,
     restrict_to_edges,
     restrict_to_nodes,
     semigraph_from_graph,
@@ -81,11 +82,14 @@ def gather_and_solve_rounds(semigraph_part: SemiGraph) -> tuple[int, list[int]]:
     in the transform's run details).  Shared with the experiment layer's
     sinkless-orientation and list-variant workload families so their
     round columns stay on the same account as the transforms.
+
+    The diameters are exact.  The underlying adjacency is built once, in
+    one pass over the rank-2 edges; then each tree component costs two
+    BFS sweeps and each component with a cycle one BFS per node (see
+    :func:`~repro.semigraph.component_diameters`).  On the raked forest of
+    Theorem 12 the whole account is ``O(n)``.
     """
-    diameters = [
-        semigraph_part.component_diameter(component)
-        for component in semigraph_part.connected_components()
-    ]
+    diameters = component_diameters(semigraph_part.underlying_adjacency())
     if not diameters:
         return 0, []
     return 2 * max(diameters) + GATHER_OVERHEAD, diameters

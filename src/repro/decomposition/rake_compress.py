@@ -31,6 +31,7 @@ import networkx as nx
 
 from repro.local.csr import CSRAdjacency
 from repro.local.engine import note_engine_use
+from repro.semigraph import component_diameters
 
 #: Rounds charged per peeling iteration (one for the compress test, one for
 #: the rake test — each only inspects the 1-hop neighbourhood).
@@ -120,16 +121,14 @@ class RakeCompressDecomposition:
         return max((d for _, d in subgraph.degree()), default=0)
 
     def raked_component_diameters(self) -> list[int]:
-        """Diameters of the connected components induced by raked nodes."""
-        subgraph = self.tree.subgraph(self.raked_nodes)
-        diameters = []
-        for component in nx.connected_components(subgraph):
-            component_graph = subgraph.subgraph(component)
-            if component_graph.number_of_nodes() <= 1:
-                diameters.append(0)
-            else:
-                diameters.append(nx.diameter(component_graph))
-        return diameters
+        """Exact diameters of the connected components induced by raked nodes."""
+        raked = self.raked_nodes
+        adjacency = {
+            v: {w for w in self.tree.adj[v] if w in raked}
+            for v in self.tree
+            if v in raked
+        }
+        return component_diameters(adjacency)
 
     def lemma_11_diameter_bound(self) -> int:
         """The paper's bound ``4(log_k n + 1) + 2`` on raked component diameters."""

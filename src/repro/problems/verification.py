@@ -9,11 +9,16 @@ diagnostics when an algorithm is wrong.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.problems.base import NodeEdgeCheckableProblem
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
+from repro.semigraph.labeling import canonical_multiset
+
+#: Stands in for the label of an unlabeled half-edge (a label may be ``None``).
+_UNLABELED = object()
 
 
 @dataclass(frozen=True)
@@ -66,28 +71,38 @@ def verify_solution(
     """
     violations: list[Violation] = []
 
-    if require_complete:
-        for half_edge in semigraph.half_edges():
-            if not labeling.is_labeled(half_edge):
+    # One pass over the half-edges collects every node's and every edge's
+    # labels; a node or edge with an unlabeled half-edge is not checked.
+    node_labels: dict = defaultdict(list)
+    edge_labels: dict = defaultdict(list)
+    incomplete_nodes: set = set()
+    incomplete_edges: set = set()
+    for half_edge in semigraph.half_edges():
+        label = labeling.get(half_edge, _UNLABELED)
+        if label is _UNLABELED:
+            if require_complete:
                 violations.append(
                     Violation("unlabeled", half_edge, (), "half-edge has no label")
                 )
+            incomplete_nodes.add(half_edge.node)
+            incomplete_edges.add(half_edge.edge)
+        else:
+            node_labels[half_edge.node].append(label)
+            edge_labels[half_edge.edge].append(label)
 
     for node in semigraph.nodes:
-        incident = semigraph.half_edges_of_node(node)
-        if not all(labeling.is_labeled(h) for h in incident):
+        if node in incomplete_nodes:
             continue
-        config = labeling.node_configuration(semigraph, node)
+        config = canonical_multiset(node_labels.get(node, ()))
         if not problem.node_config_ok(config):
             violations.append(
                 Violation("node", node, config, "node configuration not allowed")
             )
 
     for edge in semigraph.edges:
-        incident = semigraph.half_edges_of_edge(edge)
-        if not all(labeling.is_labeled(h) for h in incident):
+        if edge in incomplete_edges:
             continue
-        config = labeling.edge_configuration(semigraph, edge)
+        config = canonical_multiset(edge_labels.get(edge, ()))
         if not problem.edge_config_ok(config, semigraph.rank(edge)):
             violations.append(
                 Violation("edge", edge, config, "edge configuration not allowed")

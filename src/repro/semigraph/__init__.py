@@ -6,7 +6,7 @@ package exposes it through the :class:`SemiGraph` class, together with
 half-edges, induced sub-semi-graphs, and half-edge labelings.
 """
 
-from repro.semigraph.semigraph import HalfEdge, SemiGraph
+from repro.semigraph.semigraph import HalfEdge, SemiGraph, component_diameters
 from repro.semigraph.labeling import HalfEdgeLabeling
 from repro.semigraph.builders import (
     semigraph_from_graph,
@@ -17,6 +17,7 @@ from repro.semigraph.builders import (
 __all__ = [
     "HalfEdge",
     "SemiGraph",
+    "component_diameters",
     "HalfEdgeLabeling",
     "semigraph_from_graph",
     "restrict_to_nodes",

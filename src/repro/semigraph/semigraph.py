@@ -16,7 +16,7 @@ already been handled, and those edges drop to rank 1 (or 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Collection, Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
@@ -177,12 +177,23 @@ class SemiGraph:
                 graph.add_edge(endpoints[0], endpoints[1], edge_id=edge_id)
         return graph
 
+    def underlying_adjacency(self) -> dict[NodeId, set[NodeId]]:
+        """The underlying graph as neighbour sets, built in one pass.
+
+        Every node maps to the set of its neighbours over rank-2 edges, so
+        parallel rank-2 edges collapse as in :meth:`underlying_graph`.
+        """
+        adjacency: dict[NodeId, set[NodeId]] = {v: set() for v in self._nodes}
+        for endpoints in self._edges.values():
+            if len(endpoints) == 2:
+                u, v = endpoints
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+        return adjacency
+
     def underlying_degree(self) -> int:
         """The maximum degree of the underlying graph (0 for an empty graph)."""
-        graph = self.underlying_graph()
-        if graph.number_of_nodes() == 0:
-            return 0
-        return max((d for _, d in graph.degree()), default=0)
+        return max(map(len, self.underlying_adjacency().values()), default=0)
 
     def max_degree(self) -> int:
         """Maximum number of incident half-edges over all nodes."""
@@ -208,11 +219,16 @@ class SemiGraph:
         return [set(c) for c in nx.connected_components(self.underlying_graph())]
 
     def component_diameter(self, component: set) -> int:
-        """Diameter of a connected component of the underlying graph."""
-        graph = self.underlying_graph().subgraph(component)
-        if graph.number_of_nodes() <= 1:
-            return 0
-        return nx.diameter(graph)
+        """Exact diameter of a connected node set of the underlying graph.
+
+        Raises ``ValueError`` when ``component`` is not connected.
+        """
+        component = set(component)
+        adjacency = {v: self.neighbors(v) & component for v in component}
+        diameters = component_diameters(adjacency)
+        if len(diameters) > 1:
+            raise ValueError("the node set is not connected in the underlying graph")
+        return diameters[0] if diameters else 0
 
     def is_connected(self) -> bool:
         """Whether the underlying graph is connected."""
@@ -240,3 +256,51 @@ class SemiGraph:
     def copy(self) -> "SemiGraph":
         """A deep-enough copy (node/edge structure; identifiers are shared)."""
         return SemiGraph(self._nodes, dict(self._edges))
+
+
+# ----------------------------------------------------------------------
+# exact diameters by breadth-first search
+# ----------------------------------------------------------------------
+def _sweep(adjacency: Mapping[NodeId, Iterable[NodeId]], source: NodeId):
+    """BFS from ``source``: a farthest node, its distance, and the nodes reached."""
+    seen = {source}
+    frontier = [source]
+    distance = 0
+    while True:
+        reached = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        if not reached:
+            return frontier[0], distance, seen
+        frontier = reached
+        distance += 1
+
+
+def component_diameters(adjacency: Mapping[NodeId, Collection[NodeId]]) -> list[int]:
+    """Exact diameter of every connected component of a simple graph.
+
+    ``adjacency`` maps every node to the collection of its neighbours
+    (symmetric, no repeats, no self-loops); components are listed in the
+    order of their first node in ``adjacency``.  The BFS that finds a
+    component also finds a node farthest from its start.  A tree component
+    (edges = nodes − 1) then needs one more BFS from that node: the double
+    sweep is exact on trees.  A component with a cycle gets a BFS from
+    every node, as :func:`networkx.diameter` does.  On a forest the total
+    cost is ``O(n)``; no diameter is ever approximated.
+    """
+    diameters: list[int] = []
+    seen: set = set()
+    for source in adjacency:
+        if source in seen:
+            continue
+        farthest, _, component = _sweep(adjacency, source)
+        seen |= component
+        edges = sum(len(adjacency[v]) for v in component) // 2
+        if edges == len(component) - 1:
+            diameters.append(_sweep(adjacency, farthest)[1])
+        else:
+            diameters.append(max(_sweep(adjacency, v)[1] for v in component))
+    return diameters

@@ -215,3 +215,15 @@ def test_property_pipelines_produce_valid_solutions(n, seed):
     colouring = solve_on_bounded_arboricity(tree, 1, EdgeColoringAlgorithm())
     assert colouring.verification.ok
     assert is_edge_degree_plus_one_coloring(tree, dict(colouring.classic))
+
+
+def test_tree_mis_at_ten_thousand_nodes_has_exact_lemma_11_diameters():
+    """Theorem 12 at n = 10^4: the gather account stays exact and linear."""
+    tree = random_tree(10_000, seed=3)
+    result = solve_on_tree(tree, MISAlgorithm())
+    assert result.verification.ok
+    assert is_maximal_independent_set(tree, result.classic)
+    diameters = result.details["raked_component_diameters"]
+    assert sorted(diameters) == sorted(result.decomposition.raked_component_diameters())
+    bound = result.decomposition.lemma_11_diameter_bound()
+    assert diameters and all(d <= bound for d in diameters)
