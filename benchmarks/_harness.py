@@ -3,7 +3,7 @@
 Two kinds of output are produced under ``benchmarks/results/``:
 
 * plain-text :class:`MeasurementTable` renderings (``<name>.txt``) for
-  humans and for EXPERIMENTS.md to quote, and
+  humans, and
 * machine-readable JSON (``<name>.json``) so the performance trajectory
   can be compared across PRs — the CI workflow uploads these as
   artifacts.  Every scenario entry records at least the scenario name,

@@ -10,7 +10,7 @@ Paper claims (for Algorithm 1 with parameter ``k``):
 
 What this benchmark regenerates: the measured iteration counts, induced
 degrees and component diameters over a (tree family × k) sweep, next to the
-paper's bounds.  This doubles as the k-ablation called out in DESIGN.md.
+paper's bounds.  This doubles as a k-ablation.
 """
 
 import pytest

@@ -9,7 +9,7 @@ Paper claims (Algorithm 3 with ``b = 2a`` and ``k ≥ 5a``):
 
 What this benchmark regenerates: the measured iteration counts, typical
 degrees, atypical budgets and star checks over a (graph family × k) sweep,
-plus the b-ablation called out in DESIGN.md.
+plus a b-ablation.
 """
 
 import pytest

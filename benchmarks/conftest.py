@@ -1,10 +1,10 @@
-"""Shared infrastructure for the experiment harness.
+"""Pytest bootstrap for the experiment benchmarks.
 
-Each ``bench_e*.py`` module reproduces one experiment from DESIGN.md /
-EXPERIMENTS.md.  Benchmarks use pytest-benchmark for timing; the scientific
-output (round counts, decomposition statistics, analytic predictions) is
-printed as plain-text tables and also written to ``benchmarks/results/`` so
-that EXPERIMENTS.md can reference the numbers.
+Each ``bench_e*.py`` module reproduces one experiment of the paper as a
+pytest-benchmark module; the scientific output (round counts,
+decomposition statistics, analytic predictions) goes through
+:func:`_harness.record_table`.  This file only makes ``src/`` importable
+when the package is not installed.
 """
 
 import os
@@ -14,15 +14,3 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
-
-
-def record_table(name: str, table) -> None:
-    """Print a MeasurementTable and persist it under benchmarks/results/."""
-    text = table.render()
-    print("\n" + text + "\n")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")

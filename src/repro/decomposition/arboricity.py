@@ -34,6 +34,7 @@ import networkx as nx
 
 from repro.local.csr import CSRAdjacency
 from repro.local.engine import note_engine_use
+from repro.local.vectorized import _segment_sum, np, use_vectorized
 from repro.semigraph.builders import edge_id_for
 
 #: Rounds charged per peeling iteration (the compress test inspects the
@@ -167,8 +168,8 @@ def arboricity_decomposition(
 
     Engine choice is ambient (:class:`~repro.local.EnginePolicy`): under
     ``auto``/``vectorized`` the peeling loop runs as whole-graph array
-    operations on the policy's backend (identical layers, snapshots,
-    iterations and errors).
+    operations on NumPy (identical layers, snapshots, iterations and
+    errors).
     """
     if arboricity < 1:
         raise ValueError("the arboricity bound must be at least 1")
@@ -198,12 +199,8 @@ def arboricity_decomposition(
     # node objects through dict-of-set adjacencies every iteration.
     csr = CSRAdjacency.from_graph(graph)
 
-    from repro.local.vectorized import active_backend
-
-    xp = active_backend()
-    if xp is not None:
+    if use_vectorized():
         layers, node_iteration, degree_snapshots, iteration = _peel_vectorized(
-            xp,
             csr,
             k,
             b,
@@ -216,7 +213,6 @@ def arboricity_decomposition(
         note_engine_use(
             "vectorized",
             kernel="arboricity-peel",
-            backend=xp.name,
             rounds=ROUNDS_PER_ITERATION * iteration,
         )
         return _finish_decomposition(
@@ -305,7 +301,6 @@ def arboricity_decomposition(
 
 
 def _peel_vectorized(
-    xp,
     csr: CSRAdjacency,
     k: int,
     b: int,
@@ -315,7 +310,7 @@ def _peel_vectorized(
     theoretical_bound: int,
     strict_iteration_bound: bool,
 ) -> tuple[list[frozenset], dict, list[dict], int]:
-    """The Compress(G, b, k) peeling loop as array operations on ``xp``.
+    """The Compress(G, b, k) peeling loop as NumPy array operations.
 
     One segment reduction per iteration counts each node's alive
     neighbours of remaining degree > k; the marked set and the degree
@@ -326,7 +321,7 @@ def _peel_vectorized(
     indptr, indices, _ = csr.array_layout()
     node_of = csr.nodes
     remaining = indptr[1:] - indptr[:-1]
-    alive = xp.full(n, True, dtype=xp.bool_)
+    alive = np.full(n, True, dtype=np.bool_)
 
     layers: list[frozenset] = []
     node_iteration: dict[Hashable, int] = {}
@@ -345,7 +340,7 @@ def _peel_vectorized(
                 f"Algorithm 3 exceeded the Lemma 13 bound of {theoretical_bound} "
                 f"iterations (n={n}, a={arboricity}, b={b}, k={k})"
             )
-        alive_idx = xp.flatnonzero(alive)
+        alive_idx = np.flatnonzero(alive)
         degree_snapshots.append(
             dict(
                 zip(
@@ -356,20 +351,20 @@ def _peel_vectorized(
         )
         high = alive & (remaining > k)
         marked = (
-            alive & (remaining <= k) & (xp.segment_sum(high[indices], indptr) <= b)
+            alive & (remaining <= k) & (_segment_sum(high[indices], indptr) <= b)
         )
         if not marked.any():
             raise RuntimeError(
                 "Algorithm 3 made no progress; the arboricity bound or the "
                 "parameters (b, k) are inconsistent with the input graph"
             )
-        marked_list = xp.flatnonzero(marked).tolist()
+        marked_list = np.flatnonzero(marked).tolist()
         for i in marked_list:
             node_iteration[node_of[i]] = iteration
         layers.append(frozenset(node_of[i] for i in marked_list))
         alive[marked] = False
-        drops = xp.segment_sum(marked[indices], indptr)
-        remaining = xp.where(alive, remaining - drops, 0)
+        drops = _segment_sum(marked[indices], indptr)
+        remaining = np.where(alive, remaining - drops, 0)
 
     return layers, node_iteration, degree_snapshots, iteration
 

@@ -31,6 +31,7 @@ import networkx as nx
 
 from repro.local.csr import CSRAdjacency
 from repro.local.engine import note_engine_use
+from repro.local.vectorized import _segment_sum, np, use_vectorized
 from repro.semigraph import component_diameters
 
 #: Rounds charged per peeling iteration (one for the compress test, one for
@@ -168,8 +169,7 @@ def rake_and_compress(
 
     Engine choice is ambient (:class:`~repro.local.EnginePolicy`): under
     ``auto``/``vectorized`` the peeling loop runs as whole-forest array
-    operations on the policy's backend (identical layers, iterations and
-    errors).
+    operations on NumPy (identical layers, iterations and errors).
 
     Returns
     -------
@@ -194,17 +194,13 @@ def rake_and_compress(
     # flat offset/target arrays rather than dict-of-set adjacencies.
     csr = CSRAdjacency.from_graph(tree)
 
-    from repro.local.vectorized import active_backend
-
-    xp = active_backend()
-    if xp is not None:
+    if use_vectorized():
         layers, node_layer, iteration = _peel_vectorized(
-            xp, csr, k, n, safety_cap, theoretical_bound, strict_iteration_bound
+            csr, k, n, safety_cap, theoretical_bound, strict_iteration_bound
         )
         note_engine_use(
             "vectorized",
             kernel="rake-compress-peel",
-            backend=xp.name,
             rounds=ROUNDS_PER_ITERATION * iteration,
         )
         return RakeCompressDecomposition(
@@ -311,7 +307,6 @@ def _remove(
 
 
 def _peel_vectorized(
-    xp,
     csr: CSRAdjacency,
     k: int,
     n: int,
@@ -319,7 +314,7 @@ def _peel_vectorized(
     theoretical_bound: int,
     strict_iteration_bound: bool,
 ) -> tuple[list[Layer], dict, int]:
-    """The peeling loop as whole-forest array operations on backend ``xp``.
+    """The peeling loop as whole-forest NumPy array operations.
 
     Per iteration: one segment reduction decides the compress set (no
     alive neighbour of remaining degree > k), one more the degree drops
@@ -330,12 +325,12 @@ def _peel_vectorized(
     indptr, indices, _ = csr.array_layout()
     node_of = csr.nodes
     remaining = indptr[1:] - indptr[:-1]
-    alive = xp.full(n, True, dtype=xp.bool_)
+    alive = np.full(n, True, dtype=np.bool_)
 
     def remove(mask):
         alive[mask] = False
-        drops = xp.segment_sum(mask[indices], indptr)
-        return xp.where(alive, remaining - drops, 0)
+        drops = _segment_sum(mask[indices], indptr)
+        return np.where(alive, remaining - drops, 0)
 
     layers: list[Layer] = []
     node_layer: dict[Hashable, Layer] = {}
@@ -356,14 +351,14 @@ def _peel_vectorized(
 
         high = alive & (remaining > k)
         compressed = (
-            alive & (remaining <= k) & (xp.segment_sum(high[indices], indptr) == 0)
+            alive & (remaining <= k) & (_segment_sum(high[indices], indptr) == 0)
         )
         remaining = remove(compressed)
         if compressed.any():
             layer = Layer(
                 iteration,
                 "compress",
-                frozenset(node_of[i] for i in xp.flatnonzero(compressed).tolist()),
+                frozenset(node_of[i] for i in np.flatnonzero(compressed).tolist()),
             )
             layers.append(layer)
             for node in layer.nodes:
@@ -375,7 +370,7 @@ def _peel_vectorized(
             layer = Layer(
                 iteration,
                 "rake",
-                frozenset(node_of[i] for i in xp.flatnonzero(raked).tolist()),
+                frozenset(node_of[i] for i in np.flatnonzero(raked).tolist()),
             )
             layers.append(layer)
             for node in layer.nodes:

@@ -184,14 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
             "  interpreted  force the interpreted engine everywhere\n"
             "  vectorized   require the array engine for kernel-capable "
             "families (fails if\n               numpy is unavailable)\n"
-            "  Kernels run against a pluggable array backend "
-            "(`repro.local.ArrayBackend`,\n  NumPy by default; "
-            "register_backend() adds more); a family-declared engine pin\n"
-            "  degrades to the interpreted engine on a numpy-free "
-            "interpreter.  Results are\n  bit-identical across engines and "
-            "backends; each stored cell records what\n  served it in its "
-            "`engine` field (e.g. `vectorized[numpy]`) plus per-kernel\n"
-            "  round counts in `engine_rounds`, surfaced by `report`.\n"
+            "  Kernels run on NumPy, or the interpreted engine when NumPy "
+            "is missing: a\n  family-declared engine pin degrades to the "
+            "interpreted engine on a numpy-free\n  interpreter.  Results are "
+            "bit-identical across engines; each stored cell\n  records what "
+            "served it in its `engine` field (e.g. `vectorized[numpy]`)\n"
+            "  plus per-kernel round counts in `engine_rounds`, surfaced by "
+            "`report`.\n"
             "\n"
             "cross-machine transport:\n"
             "  `serve --listen host:port` adds a token-authenticated TCP "

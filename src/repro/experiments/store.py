@@ -80,7 +80,7 @@ class CellResult:
     charged_rounds: float | None = None
     extras: dict[str, Any] = field(default_factory=dict)
     #: Which engine(s) actually served the cell —
-    #: "vectorized[<backend>]" (e.g. "vectorized[numpy]"),
+    #: "vectorized[numpy]",
     #: "interpreted", "mixed", or ``None`` for cells that ran no engine
     #: at all (analytic cells) and every pre-engine record.  Provenance
     #: only: results are bit-identical across engines, so the field is

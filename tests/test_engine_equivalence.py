@@ -39,19 +39,18 @@ from repro.generators import (
 from repro.local import (
     EnginePolicy,
     EngineUnavailable,
-    KERNELS,
     MessageMeter,
     Network,
     NodeContext,
     SynchronousAlgorithm,
     numpy_available,
-    register_kernel,
     run_synchronous,
     run_synchronous_reference,
     run_vectorized,
     select_engine,
     supports_vectorized,
 )
+from repro.local.vectorized import _kernel_for
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires the numpy array backend"
@@ -193,7 +192,7 @@ def test_every_kernel_capable_baseline_is_covered():
 def test_supports_vectorized_resolves_subclasses_via_mro():
     """A subclass of a kernel-capable algorithm inherits its kernel.
 
-    Regression: the registry used to look up ``type(algorithm)``
+    Regression: the lookup used to match ``type(algorithm)``
     exactly, silently dropping subclasses to the interpreted engine.
     """
 
@@ -202,40 +201,14 @@ def test_supports_vectorized_resolves_subclasses_via_mro():
 
     algorithm = TunedLinial()
     assert supports_vectorized(algorithm)
-    spec = KERNELS.lookup(algorithm)
-    assert spec is not None and spec.name == "linial"
+    entry = _kernel_for(algorithm)
+    assert entry is not None and entry[0] == "linial"
     if numpy_available():
         tree = random_tree(30, seed=2)
         vectorized = run_vectorized(Network(tree), algorithm)
         fast = run_synchronous(Network(tree), algorithm)
         assert vectorized.outputs == fast.outputs
         assert vectorized.rounds == fast.rounds
-
-
-def test_register_kernel_refuses_silent_overwrite():
-    class Doomed(_KernelLess):
-        name = "doomed"
-
-    try:
-        @register_kernel(Doomed, name="first")
-        def first_kernel(xp, network, algorithm, max_rounds):
-            raise NotImplementedError
-
-        with pytest.raises(ValueError, match=r"second.*first|first.*second"):
-            @register_kernel(Doomed, name="second")
-            def second_kernel(xp, network, algorithm, max_rounds):
-                raise NotImplementedError
-
-        # Same backend pair still registered to the original kernel…
-        assert KERNELS.lookup(Doomed()).name == "first"
-        # …until the explicit escape hatch swaps it.
-        @register_kernel(Doomed, name="second", replace=True)
-        def second_kernel_replacing(xp, network, algorithm, max_rounds):
-            raise NotImplementedError
-
-        assert KERNELS.lookup(Doomed()).name == "second"
-    finally:
-        KERNELS._by_type.pop(Doomed, None)
 
 
 @requires_numpy
@@ -255,7 +228,6 @@ def test_engine_policy_records_backend_provenance():
     with EnginePolicy("auto") as policy:
         run_vectorized(Network(tree), LinialColoring())
     assert policy.engine_used == "vectorized[numpy]"
-    assert policy.backends_used == {"numpy"}
     with EnginePolicy("interpreted") as policy:
         run_synchronous(Network(tree), LinialColoring())
     assert policy.engine_used == "interpreted"

@@ -1,10 +1,10 @@
-"""Engine policy and backend registry: what happens when numpy is gone.
+"""Engine policy: what happens when numpy is gone.
 
 The vectorized engine is a preference, not a dependency — a
 numpy-free interpreter must degrade every family-pinned or auto cell
 to the interpreted engine with identical semantic results, and only an
 *explicit* ``engine="vectorized"`` request may raise
-:class:`EngineUnavailable`.  ``array_backend.numpy_available`` is the
+:class:`EngineUnavailable`.  ``repro.local.vectorized.np`` is the
 single monkeypatch point, and on Linux the fork start method carries
 the patch into pool and daemon worker processes, so the whole service
 stack can be exercised against a simulated numpy-free interpreter.
@@ -24,15 +24,13 @@ from repro.local import (
     EnginePolicy,
     EngineUnavailable,
     Network,
-    available_backends,
-    get_backend,
     numpy_available,
     run_synchronous,
     run_vectorized,
     select_engine,
     use_vectorized,
 )
-from repro.local import array_backend
+from repro.local import vectorized
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires the numpy array backend"
@@ -54,48 +52,14 @@ DEGRADE_SUITE = Suite(
 )
 
 
-class TestBackendRegistry:
-    @requires_numpy
-    def test_default_backend_is_numpy(self):
-        backend = get_backend()
-        assert backend.name == "numpy"
-        assert get_backend("numpy") is backend
-        assert "numpy" in available_backends()
-
-    def test_unknown_backend_names_the_available_ones(self):
-        with pytest.raises(KeyError, match="no-such-backend"):
-            get_backend("no-such-backend")
-
-    def test_register_backend_refuses_silent_overwrite(self):
-        class FirstBackend:
-            name = "collision-test"
-
-        class SecondBackend:
-            name = "collision-test"
-
-        first = FirstBackend()
-        second = SecondBackend()
-        try:
-            array_backend.register_backend(first)
-            with pytest.raises(ValueError, match="FirstBackend.*SecondBackend"):
-                array_backend.register_backend(second)
-            assert get_backend("collision-test") is first
-            # re-registering the same object is idempotent, not a clash
-            array_backend.register_backend(first)
-            array_backend.register_backend(second, replace=True)
-            assert get_backend("collision-test") is second
-        finally:
-            array_backend._BACKENDS.pop("collision-test", None)
-
-
 @pytest.fixture()
 def no_numpy(monkeypatch):
     """Simulate a numpy-free interpreter for this test (and its forks)."""
-    monkeypatch.setattr(array_backend, "numpy_available", lambda: False)
+    monkeypatch.setattr(vectorized, "np", None)
 
 
 class TestNumpyAbsentDegradation:
-    def test_availability_funnels_through_array_backend(self, no_numpy):
+    def test_availability_funnels_through_one_switch(self, no_numpy):
         assert not numpy_available()
         assert not use_vectorized("auto")
 

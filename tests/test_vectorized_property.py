@@ -10,6 +10,8 @@ accounting.  This is the bit-identical contract that lets ``auto`` mode
 pick the backend per algorithm without changing any stored result.
 """
 
+import random
+
 import pytest
 
 from repro.baselines.coloring import deg_plus_one_coloring
@@ -33,6 +35,7 @@ from repro.local import (
     run_synchronous_reference,
     run_vectorized,
 )
+import repro.local.vectorized as array_engine
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy is required for the vectorized backend"
@@ -167,3 +170,62 @@ def test_arboricity_peel_property(n, a, seed):
     assert vectorized.forests == interpreted.forests
     assert vectorized.forest_colorings == interpreted.forest_colorings
     assert vectorized.rounds == interpreted.rounds
+
+
+# ----------------------------------------------------------------------
+# array primitives
+# ----------------------------------------------------------------------
+#: Segment lengths with empty segments at the start, in the middle, at
+#: the end, and everywhere.
+SEGMENT_LENGTHS = [
+    [0, 0, 3, 2],
+    [2, 0, 0, 4, 1],
+    [3, 1, 0, 0],
+    [0, 0, 0, 0, 0],
+]
+
+
+@pytest.mark.parametrize("lengths", SEGMENT_LENGTHS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_segment_sum_matches_a_python_loop(lengths, seed):
+    import numpy as np
+
+    rng = random.Random(seed)
+    indptr = np.cumsum([0] + lengths, dtype=np.int64)
+    ints = np.asarray(
+        [rng.randrange(-50, 50) for _ in range(indptr[-1])], dtype=np.int64
+    )
+    for values in (ints, ints > 0):
+        expected = [
+            int(sum(values[indptr[i]:indptr[i + 1]].tolist()))
+            for i in range(len(lengths))
+        ]
+        assert array_engine._segment_sum(values, indptr).tolist() == expected
+
+
+def test_bitwise_count_fallback_matches_numpy(monkeypatch):
+    import numpy as np
+
+    rng = random.Random(7)
+    values = np.asarray(
+        [0, 1, 2, 3, 255, 256, 2**62 - 1, 2**62, 2**63 - 1]
+        + [rng.randrange(2**63) for _ in range(200)],
+        dtype=np.int64,
+    )
+    expected = [bin(value).count("1") for value in values.tolist()]
+    if hasattr(np, "bitwise_count"):
+        assert np.bitwise_count(values).tolist() == expected
+        assert array_engine._bitwise_count(values).tolist() == expected
+
+    class NumpyWithoutBitwiseCount:
+        """NumPy as numpy < 2 exposes it: no ``bitwise_count``."""
+
+        def __getattr__(self, name):
+            if name == "bitwise_count":
+                raise AttributeError(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(array_engine, "np", NumpyWithoutBitwiseCount())
+    fallback = array_engine._bitwise_count(values)
+    assert fallback.tolist() == expected
+    assert fallback.shape == values.shape
