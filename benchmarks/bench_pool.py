@@ -1,14 +1,14 @@
-"""Persistent worker pool vs. per-sweep ProcessPoolExecutor.
+"""One warm worker pool for every sweep vs. a fresh pool per sweep.
 
 The service claim (ROADMAP "heavy traffic" item): on many-small-cell
-workloads the dominant cost of the `SweepRunner` path is *not* the cells —
-it is creating a fresh process pool per sweep and paying one task
-round trip per cell.  `WorkerPool` keeps the workers warm across sweeps
-and ships cells in batches, so the same job stream should run measurably
-faster.
+workloads the dominant cost of a sweep is *not* the cells — it is
+starting worker processes.  ``SweepRunner(jobs=2).run()`` opens a fresh
+`WorkerPool` for each sweep; the daemon instead passes one warm pool to
+every ``run``, so the same job stream should run measurably faster.  Both
+paths ship one cell per task; only process startup differs.
 
 This benchmark replays the same stream of small sweeps through both paths
-and asserts the pool's speedup stays above a conservative floor
+and asserts the warm pool's speedup stays above a conservative floor
 (:data:`SPEEDUP_FLOOR`), recording both wall clocks in
 ``benchmarks/results/bench_pool.json`` so the trajectory is visible per
 PR.  ``BENCH_SMOKE=1`` shrinks the stream for CI.
@@ -26,14 +26,13 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _harness import record_json, scenario_entry  # noqa: E402
 
-from repro.experiments import ResultStore, ScenarioSpec, Suite, SweepRunner
-from repro.service import WorkerPool
+from repro.experiments import ResultStore, ScenarioSpec, Suite, SweepRunner, WorkerPool
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
-#: The pool must beat the per-sweep-executor path by at least this factor
-#: on the many-small-cell stream.  Measured speedups are far higher (the
-#: executor path pays ~worker-count process startups per sweep); the floor
+#: The warm pool must beat the fresh-pool-per-sweep path by at least this
+#: factor on the many-small-cell stream.  Measured speedups are higher (the
+#: fresh path pays worker-count process startups per sweep); the floor
 #: only guards against a regression that loses the amortisation.
 SPEEDUP_FLOOR = 1.1
 
@@ -64,24 +63,24 @@ def small_cell_suite(tag: int) -> Suite:
     )
 
 
-def run_executor_stream(base_dir: str) -> float:
-    """The PR 2 path: a fresh ProcessPoolExecutor per sweep, 1 cell/task."""
+def run_fresh_stream(base_dir: str) -> float:
+    """The CLI path: each ``SweepRunner(jobs=2).run()`` opens its own pool."""
     start = time.perf_counter()
     for sweep in range(SWEEPS):
-        store = ResultStore(os.path.join(base_dir, f"executor-{sweep}"))
+        store = ResultStore(os.path.join(base_dir, f"fresh-{sweep}"))
         report = SweepRunner(small_cell_suite(sweep), store, jobs=WORKERS).run()
-        assert report.ok, f"executor sweep {sweep} failed: {report.failures}"
+        assert report.ok, f"fresh-pool sweep {sweep} failed: {report.failures}"
     return time.perf_counter() - start
 
 
-def run_pool_stream(base_dir: str) -> float:
-    """The service path: one warm pool serving every sweep, batched cells."""
+def run_warm_stream(base_dir: str) -> float:
+    """The service path: one warm pool passed to every sweep's ``run``."""
     start = time.perf_counter()
     with WorkerPool(workers=WORKERS) as pool:
         for sweep in range(SWEEPS):
-            store = ResultStore(os.path.join(base_dir, f"pool-{sweep}"))
-            report = pool.run_suite(small_cell_suite(sweep), store)
-            assert report.ok, f"pool sweep {sweep} failed: {report.failures}"
+            store = ResultStore(os.path.join(base_dir, f"warm-{sweep}"))
+            report = SweepRunner(small_cell_suite(sweep), store).run(pool=pool)
+            assert report.ok, f"warm-pool sweep {sweep} failed: {report.failures}"
     return time.perf_counter() - start
 
 
@@ -103,23 +102,23 @@ def main() -> None:
         f"{WORKERS} workers (smoke={SMOKE})"
     )
     with tempfile.TemporaryDirectory(prefix="bench_pool") as base_dir:
-        executor_s = best_of(run_executor_stream, os.path.join(base_dir, "executor"))
-        pool_s = best_of(run_pool_stream, os.path.join(base_dir, "pool"))
+        fresh_s = best_of(run_fresh_stream, os.path.join(base_dir, "fresh"))
+        warm_s = best_of(run_warm_stream, os.path.join(base_dir, "warm"))
 
-    speedup = executor_s / pool_s if pool_s > 0 else float("inf")
-    print(f"  per-sweep executor: {executor_s:.3f}s")
-    print(f"  persistent pool:    {pool_s:.3f}s")
-    print(f"  speedup:            {speedup:.2f}x (floor: {SPEEDUP_FLOOR}x)")
+    speedup = fresh_s / warm_s if warm_s > 0 else float("inf")
+    print(f"  fresh pool per sweep: {fresh_s:.3f}s")
+    print(f"  one warm pool:        {warm_s:.3f}s")
+    print(f"  speedup:              {speedup:.2f}x (floor: {SPEEDUP_FLOOR}x)")
 
     record_json(
         "bench_pool",
         [
             scenario_entry(
-                "executor-per-sweep", cells_per_sweep * SWEEPS, executor_s,
+                "fresh-pool-per-sweep", cells_per_sweep * SWEEPS, fresh_s,
                 sweeps=SWEEPS, workers=WORKERS,
             ),
             scenario_entry(
-                "persistent-pool", cells_per_sweep * SWEEPS, pool_s,
+                "persistent-pool", cells_per_sweep * SWEEPS, warm_s,
                 sweeps=SWEEPS, workers=WORKERS, speedup=round(speedup, 3),
             ),
         ],
@@ -127,8 +126,8 @@ def main() -> None:
     )
 
     assert speedup >= SPEEDUP_FLOOR, (
-        f"persistent pool speedup {speedup:.2f}x fell below the "
-        f"{SPEEDUP_FLOOR}x floor over the per-sweep executor path"
+        f"warm pool speedup {speedup:.2f}x fell below the "
+        f"{SPEEDUP_FLOOR}x floor over the fresh-pool-per-sweep path"
     )
 
 

@@ -1,9 +1,10 @@
 """Scaling study driven by the experiments subsystem, plus the separation.
 
 Part 1 runs the ``scaling`` suite (transforms and direct baselines on
-growing random trees) through the parallel :class:`SweepRunner` at reduced
-sizes and rebuilds the scaling table and the per-scenario log-power fits
-from the stored JSONL records.
+growing random trees) at reduced sizes through :class:`SweepRunner` with
+``jobs=4`` — the runner opens a worker pool for the sweep and ships it one
+cell per task — and rebuilds the scaling table and the per-scenario
+log-power fits from the stored JSONL records.
 
 Part 2 works purely in the complexity model: it evaluates the Theorem 1
 prediction ``f(g(n)) + log* n`` for several truly local complexities ``f``

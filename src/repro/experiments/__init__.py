@@ -8,10 +8,10 @@ workhorse:
   algorithm registries and the built-in suites (``paper-claims``,
   ``scaling``, ``stress``, ``workloads``, ``lower-bound``, ``charged``,
   ``orientation-lists``);
-* :mod:`repro.experiments.runner` — :class:`SweepRunner` fans pending
-  cells out over a ``ProcessPoolExecutor``; each worker generates the
-  instance, runs the engine under a message meter, verifies the output and
-  returns a :class:`CellResult`;
+* :mod:`repro.experiments.runner` — :class:`SweepRunner` runs pending
+  cells in-process or on a warm :class:`WorkerPool`, one cell per task;
+  each cell generates the instance, runs the engine under a message
+  meter, verifies the output and returns a :class:`CellResult`;
 * :mod:`repro.experiments.store` — the append-only, fingerprint-keyed
   JSONL :class:`ResultStore` that makes sweeps resumable;
 * :mod:`repro.experiments.report` — rebuilds the paper's scaling tables
@@ -47,7 +47,13 @@ from repro.experiments.store import (
     resolve_duplicate,
     semantic_payload,
 )
-from repro.experiments.runner import SweepReport, SweepRunner, default_jobs, run_cell
+from repro.experiments.runner import (
+    SweepReport,
+    SweepRunner,
+    WorkerPool,
+    default_jobs,
+    run_cell,
+)
 from repro.experiments.report import ReportBundle, build_report
 from repro.experiments.shard import ShardSpec, partition, shard_cells
 
@@ -75,6 +81,7 @@ __all__ = [
     "semantic_payload",
     "SweepReport",
     "SweepRunner",
+    "WorkerPool",
     "default_jobs",
     "run_cell",
     "ReportBundle",

@@ -15,9 +15,6 @@ function of exactly the quantities that define the cell's computation
 
 Nothing here imports the experiment registries, so the module is safe to
 import from anywhere in the stack (CLI, runner, daemon) without cycles.
-It lives in the experiments layer because the runner consumes it; the
-service subsystem re-exports it as :mod:`repro.service.shard`, its shard
-layer.
 """
 
 from __future__ import annotations

@@ -1,16 +1,12 @@
 """The distributed sweep service.
 
-Six layers turn the single-machine experiment runner into a
-multi-worker, multi-machine, resumable, mergeable, elastic sweep
-platform:
+Four layers turn the single-machine experiment runner into a
+multi-machine, resumable, mergeable, elastic sweep platform.  Sweeps
+themselves always execute through
+:class:`~repro.experiments.runner.SweepRunner` on a
+:class:`~repro.experiments.runner.WorkerPool`, and static ``run --shard
+i/k`` partitioning lives in :mod:`repro.experiments.shard`:
 
-* :mod:`repro.service.shard` — deterministic ``i/k`` partitioning of a
-  suite's cells by fingerprint (implemented in
-  :mod:`repro.experiments.shard`, re-exported here), so independent
-  workers and machines run disjoint shards (``run --shard i/k``);
-* :mod:`repro.service.pool` — :class:`WorkerPool`, warm worker processes
-  reused across sweeps with batched cell submission, amortising process
-  startup over many small cells;
 * :mod:`repro.service.protocol` — the transport-neutral line-JSON wire
   protocol: :class:`Endpoint` addresses (Unix path or ``host:port``),
   the shared :class:`LineServer` listener (accept loops, per-connection
@@ -56,12 +52,6 @@ from repro.service.leases import (
     FleetWorker,
     LeaseTable,
 )
-from repro.service.pool import (
-    DEFAULT_BATCH_SIZE,
-    CellOutcome,
-    WorkerPool,
-    batch_cells,
-)
 from repro.service.protocol import (
     AUTH_TOKEN_ENV,
     Endpoint,
@@ -70,7 +60,6 @@ from repro.service.protocol import (
     connect_endpoint,
     parse_endpoint,
 )
-from repro.service.shard import ShardSpec, partition, shard_cells
 
 __all__ = [
     "CollectorSink",
@@ -87,17 +76,10 @@ __all__ = [
     "LEASE_FATES",
     "FleetWorker",
     "LeaseTable",
-    "DEFAULT_BATCH_SIZE",
-    "CellOutcome",
-    "WorkerPool",
-    "batch_cells",
     "AUTH_TOKEN_ENV",
     "Endpoint",
     "LineServer",
     "ProtocolError",
     "connect_endpoint",
     "parse_endpoint",
-    "ShardSpec",
-    "partition",
-    "shard_cells",
 ]

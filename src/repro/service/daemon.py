@@ -6,7 +6,7 @@ machine.  It listens on a local Unix-domain socket — and, with
 JSON protocol of :mod:`repro.service.protocol` through its shared
 :class:`~repro.service.protocol.LineServer`, and lets any number of
 clients feed sweep jobs into one long-lived
-:class:`~repro.service.pool.WorkerPool` — the process-startup cost of a
+:class:`~repro.experiments.runner.WorkerPool` — the process-startup cost of a
 sweep is paid once per daemon, not once per request.  TCP requests are
 token-authenticated (``--token`` / ``REPRO_SERVICE_TOKEN``); the Unix
 socket stays guarded by filesystem permissions.
@@ -60,6 +60,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.report import report_payload
+from repro.experiments.runner import SweepRunner, WorkerPool
+from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import get_suite
 from repro.experiments.store import DEFAULT_OUT, ResultStore
 from repro.local import ENGINE_MODES
@@ -69,7 +71,6 @@ from repro.obs.timeseries import (
     DEFAULT_SCRAPE_INTERVAL_S,
 )
 from repro.service.client import CollectorSink, ServiceClient, ServiceError
-from repro.service.pool import DEFAULT_BATCH_SIZE, WorkerPool
 from repro.service.protocol import (
     MAX_SOCKET_PATH_BYTES,
     LineServer,
@@ -81,7 +82,6 @@ from repro.service.protocol import (
     resolve_token,
     unix_socket_is_live,
 )
-from repro.service.shard import ShardSpec
 
 __all__ = ["DEFAULT_SOCKET", "MAX_SOCKET_PATH_BYTES", "Job", "SweepDaemon"]
 
@@ -196,7 +196,6 @@ class SweepDaemon:
         self,
         socket_path: str | Path = DEFAULT_SOCKET,
         workers: int | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         listen: str | None = None,
         token: str | None = None,
         scrape_interval_s: float = DEFAULT_SCRAPE_INTERVAL_S,
@@ -213,9 +212,7 @@ class SweepDaemon:
             capacity=history_capacity,
             spill_path=history_spill,
         )
-        self.pool = WorkerPool(
-            workers=workers, batch_size=batch_size, registry=self.registry
-        )
+        self.pool = WorkerPool(workers=workers, registry=self.registry)
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._job_queue: queue_module.Queue[str] = queue_module.Queue()
@@ -469,18 +466,20 @@ class SweepDaemon:
             if job.collector:
                 sink = CollectorSink(ServiceClient(job.collector, token=self.token))
                 sinks = (sink,)
-            report = self.pool.run_suite(
+            report = SweepRunner(
                 suite,
                 ResultStore(job.out),
                 smoke=job.smoke,
                 sizes=job.sizes,
                 seeds=job.seeds,
                 shard=shard,
-                progress=progress,
-                on_plan=on_plan,
-                on_failure=on_failure,
                 sinks=sinks,
                 engine=job.engine,
+            ).run(
+                progress=progress,
+                pool=self.pool,
+                on_plan=on_plan,
+                on_failure=on_failure,
             )
             job.sink_error = report.sink_error
         except Exception as error:  # noqa: BLE001 - surfaced via status verb
@@ -524,11 +523,9 @@ class SweepDaemon:
     def _pool_stats(self) -> dict[str, Any]:
         return {
             "workers": self.pool.workers,
-            "batch_size": self.pool.batch_size,
             "started": self.pool.started,
             "sweeps_served": self.pool.sweeps_served,
             "cells_executed": self.pool.cells_executed,
-            "batches_executed": self.pool.batches_executed,
         }
 
     def _handle_submit(self, request: dict[str, Any]) -> dict[str, Any]:

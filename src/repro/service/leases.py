@@ -27,7 +27,7 @@ Two halves live here:
 :class:`FleetWorker`
     The worker-side loop behind ``run <suite> --fleet host:port``: it
     offers the suite's fingerprint universe, executes granted batches on
-    a warm :class:`~repro.service.pool.WorkerPool`, appends each result
+    a warm :class:`~repro.experiments.runner.WorkerPool`, appends each result
     to its local store and pushes it via
     :class:`~repro.service.client.CollectorSink`.  A replacement worker
     "resumes" a dead machine's sweep with no JSONL copying at all: the
@@ -62,11 +62,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.experiments.runner import CellFailure, SweepReport
+from repro.experiments.runner import (
+    CellFailure,
+    SweepReport,
+    WorkerPool,
+    make_recorder,
+)
 from repro.experiments.spec import Suite
 from repro.experiments.store import CellResult, ResultStore
 from repro.service.client import CollectorSink, ServiceClient
-from repro.service.pool import DEFAULT_BATCH_SIZE, WorkerPool
 
 __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL_S",
@@ -87,8 +91,8 @@ DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 #: two consecutive heartbeats before its leases are up for reassignment.
 DEFAULT_TTL_HEARTBEATS = 2.0
 
-#: Fingerprints per lease grant (mirrors the pool's task batch size).
-DEFAULT_LEASE_BATCH = DEFAULT_BATCH_SIZE
+#: Fingerprints per lease grant.
+DEFAULT_LEASE_BATCH = 8
 
 #: Every fate the event callback can report (metrics label values).
 LEASE_FATES = (
@@ -494,10 +498,7 @@ class FleetWorker:
             executed=0,
             unverified=0,
         )
-        pool = WorkerPool(
-            workers=self.jobs,
-            batch_size=min(self.lease_batch, DEFAULT_BATCH_SIZE),
-        )
+        pool = WorkerPool(workers=self.jobs)
         # Fork the workers before any thread or socket exists: the
         # children must not inherit a mid-flight connection or a lock
         # the heartbeat thread holds.
@@ -512,6 +513,16 @@ class FleetWorker:
             daemon=True,
         )
         heartbeat.start()
+
+        def push(result: CellResult) -> None:
+            # The progress hook of make_recorder, which lets its errors
+            # propagate: a failed push aborts the run.
+            sink(result)
+            self.pushed += 1
+            if self.progress is not None:
+                self.progress(result)
+
+        record = make_recorder(self.store, (), report, progress=push)
         failed: set[str] = set()
         release: list[str] = []
         try:
@@ -548,14 +559,7 @@ class FleetWorker:
                             failed.add(outcome.cell.fingerprint)
                             release.append(outcome.cell.fingerprint)
                             continue
-                        self.store.append(outcome.result)
-                        report.executed += 1
-                        if not outcome.result.verified:
-                            report.unverified += 1
-                        sink(outcome.result)
-                        self.pushed += 1
-                        if self.progress is not None:
-                            self.progress(outcome.result)
+                        record(outcome.result)
                     continue
                 if reply.get("done"):
                     break

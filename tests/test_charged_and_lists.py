@@ -21,7 +21,8 @@ from repro.experiments import (
     merge_result_files,
 )
 from repro.experiments.cli import main
-from repro.service import ShardSpec, WorkerPool
+from repro.experiments.runner import WorkerPool
+from repro.experiments.shard import ShardSpec
 
 
 def _canonical(records):
@@ -141,8 +142,8 @@ class TestWorkerPoolRunsNewSuites:
         assert SweepRunner(suite, runner_store, jobs=1, smoke=True).run().ok
 
         pool_store = ResultStore(tmp_path / "pool")
-        with WorkerPool(workers=2, batch_size=4) as pool:
-            report = pool.run_suite(suite, pool_store, smoke=True)
+        with WorkerPool(workers=2) as pool:
+            report = SweepRunner(suite, pool_store, smoke=True).run(pool=pool)
         assert report.ok
         assert _canonical(pool_store.records()) == _canonical(
             runner_store.records()

@@ -17,7 +17,7 @@ import pytest
 from repro.baselines.linial import LinialColoring, linial_coloring
 from repro.baselines.mis import maximal_independent_set
 from repro.decomposition import rake_and_compress
-from repro.experiments import ResultStore, ScenarioSpec, Suite, SweepRunner
+from repro.experiments import ResultStore, ScenarioSpec, Suite, SweepRunner, WorkerPool
 from repro.experiments.runner import run_cell
 from repro.generators import random_tree
 from repro.local import (
@@ -108,11 +108,9 @@ class TestNumpyAbsentDegradation:
         assert all(result.engine == "interpreted" for result in results)
 
     def test_worker_pool_degrades_forked_workers(self, no_numpy, tmp_path):
-        from repro.service import WorkerPool
-
         store = ResultStore(tmp_path)
-        with WorkerPool(workers=2, batch_size=2) as pool:
-            report = pool.run_suite(DEGRADE_SUITE, store)
+        with WorkerPool(workers=2) as pool:
+            report = SweepRunner(DEGRADE_SUITE, store).run(pool=pool)
         assert report.ok
         assert all(result.engine == "interpreted" for result in store.results())
 
@@ -126,9 +124,7 @@ class TestNumpyAbsentDegradation:
         from repro.obs.metrics import samples_named
         from repro.service import ServiceClient, SweepDaemon
 
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=2, batch_size=4
-        )
+        daemon = SweepDaemon(socket_path=tmp_path / "svc.sock", workers=2)
         daemon.start()
         try:
             client = ServiceClient(daemon.socket_path)

@@ -22,9 +22,7 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture()
 def daemon(tmp_path):
-    daemon = SweepDaemon(
-        socket_path=tmp_path / "svc.sock", workers=2, batch_size=4
-    )
+    daemon = SweepDaemon(socket_path=tmp_path / "svc.sock", workers=2)
     daemon.start()
     yield daemon
     daemon.close()

@@ -16,7 +16,7 @@ from repro.experiments import (
     merge_result_files,
 )
 from repro.experiments.spec import ANALYTIC_GENERATOR
-from repro.service import ShardSpec, partition, shard_cells
+from repro.experiments.shard import ShardSpec, partition, shard_cells
 
 SUITE = Suite(
     name="shard-test",
