@@ -55,7 +55,6 @@ from repro.experiments.runner import (
     run_cell,
 )
 from repro.experiments.report import ReportBundle, build_report
-from repro.experiments.shard import ShardSpec, partition, shard_cells
 
 __all__ = [
     "ALGORITHMS",
@@ -86,7 +85,4 @@ __all__ = [
     "run_cell",
     "ReportBundle",
     "build_report",
-    "ShardSpec",
-    "partition",
-    "shard_cells",
 ]

@@ -10,30 +10,22 @@ Examples::
     python -m repro.experiments report
     python -m repro.experiments report --json report.json --csv report.csv
 
-Distributed sharding and the sweep service::
+A sweep spread over many processes or machines (the lease fleet; TCP is
+token-authenticated via ``REPRO_SERVICE_TOKEN``)::
 
-    # machine A                                  # machine B
-    python -m repro.experiments run scaling \\
-        --shard 0/2 --out shards/a               ... --shard 1/2 --out shards/b
-    # then anywhere:
-    python -m repro.experiments merge --out experiments/results/results.jsonl \\
-        shards/a/results.jsonl shards/b/results.jsonl
-    python -m repro.experiments report
+    # collector machine:
+    python -m repro.experiments collect --listen 0.0.0.0:7919 --out central
+    # any number of workers, each leasing cells and pushing every result:
+    python -m repro.experiments run scaling --fleet host:7919 --out local
+    # fetch the rendered report straight off the collector:
+    python -m repro.experiments report --connect host:7919 --json report.json
+    # offline: union finished stores into one
+    python -m repro.experiments merge --out merged/results.jsonl \\
+        a/results.jsonl b/results.jsonl
 
     # long-lived worker pool serving many clients:
     python -m repro.experiments serve --workers 4 &
     python -m repro.experiments submit paper-claims --smoke --wait
-
-Cross-machine streaming (TCP, token-authenticated via
-``REPRO_SERVICE_TOKEN``)::
-
-    # collector machine:
-    python -m repro.experiments collect --listen 0.0.0.0:7919 --out central
-    # shard workers, each streaming every completed cell live:
-    python -m repro.experiments run scaling --shard 0/2 --collector host:7919
-    python -m repro.experiments run scaling --shard 1/2 --collector host:7919
-    # fetch the rendered report straight off the collector:
-    python -m repro.experiments report --connect host:7919 --json report.json
 
 ``run`` appends to ``<out>/results.jsonl`` (default ``experiments/results``)
 and is resumable: completed-and-verified cells are skipped by fingerprint,
@@ -57,7 +49,6 @@ from repro.experiments.store import (
     ResultStore,
     merge_result_files,
 )
-from repro.experiments.shard import ShardSpec
 from repro.obs.metrics import parse_exposition_types
 from repro.obs.timeseries import (
     DEFAULT_SCRAPE_INTERVAL_S,
@@ -68,7 +59,7 @@ from repro.obs.timeseries import (
     points_in_window,
     windowed_quantile,
 )
-from repro.service.client import CollectorSink, ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.collector import ResultCollector
 from repro.service.daemon import DEFAULT_SOCKET, SweepDaemon
 from repro.service.leases import (
@@ -89,22 +80,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
     return values
-
-
-def _shard_spec(text: str) -> ShardSpec:
-    try:
-        return ShardSpec.parse(text)
-    except ValueError as error:
-        # Always carry the i/k format hint: ShardSpec's own range errors
-        # ("shard index must be in [0, k)") do not repeat the syntax.
-        raise argparse.ArgumentTypeError(
-            f"{error} (expected i/k with 0 <= i < k, e.g. --shard 0/2)"
-        ) from None
-
-
-# argparse names the converter in its fallback "invalid ... value" error;
-# the function's private name would leak into user-facing output.
-_shard_spec.__name__ = "shard spec"
 
 
 def _positive_int(text: str) -> int:
@@ -194,23 +169,23 @@ def build_parser() -> argparse.ArgumentParser:
             "cross-machine transport:\n"
             "  `serve --listen host:port` adds a token-authenticated TCP "
             "listener next to the\n  Unix socket, and `collect --listen "
-            "host:port` runs a result collector: shard\n  workers started with "
-            "`run <suite> --shard i/k --collector host:port` stream each\n"
-            "  completed cell record live into the collector's deduplicated "
-            "store (verified\n  records outrank unverified ones, same policy "
-            "as `merge`).  TCP requires a\n  shared token from --token or the "
-            f"{AUTH_TOKEN_ENV} environment variable; Unix\n  sockets need "
-            "none.  `report --connect host:port [--job job-N]` fetches the\n"
-            "  server-side `report` verb: the rendered bundle for a collector "
-            "store or a\n  finished daemon job, byte-identical to a local "
-            "`report --json` on that store.\n"
+            "host:port` runs a result collector: the\n  fleet's coordinator, "
+            "keeping every pushed cell record in one deduplicated\n  store "
+            "(verified records outrank unverified ones, same policy as "
+            "`merge`).  TCP\n  requires a shared token from --token or the\n  "
+            f"{AUTH_TOKEN_ENV} environment variable; Unix sockets need "
+            "none.\n  `report --connect host:port [--job job-N]` fetches the "
+            "server-side `report` verb:\n  the rendered bundle for a collector "
+            "store (no --job) or a finished daemon\n  job, byte-identical to "
+            "a local `report --json` on that store.\n"
             "\n"
             "elastic sweep fleet:\n"
-            "  `run <suite> --fleet host:port` replaces the static shard "
-            "split with a lease\n  loop: each worker registers with the "
-            "collector, offers the suite's fingerprint\n  universe and pulls "
-            "batches of leased cells (`--lease-batch`), streaming every\n  "
-            "result back over the same `push` path (a push completes the "
+            "  `run <suite> [--jobs N]` runs a sweep on one machine; `run "
+            "<suite> --fleet\n  host:port` spreads it over any number of "
+            "processes or machines.  Each fleet\n  worker registers with the "
+            "collector, offers the suite's fingerprint universe\n  and pulls "
+            "batches of leased cells (`--lease-batch`), streaming every "
+            "result\n  back over the `push` path (a push completes the "
             "cell's lease).\n  A background heartbeat renews a worker's "
             "leases; a worker that dies stops\n  heartbeating, its leases "
             "expire after the TTL (`collect --lease-ttl`, default\n  2x "
@@ -278,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI-size sweep: smoke sizes, first seed only (analytic cells unchanged)",
     )
     sweep_options.add_argument(
-        "--shard", type=_shard_spec, default=None, metavar="I/K",
-        help="run only shard i of k (deterministic disjoint fingerprint "
-        "partition), e.g. --shard 0/2",
-    )
-    sweep_options.add_argument(
         "--engine", choices=("auto", "interpreted", "vectorized"), default="auto",
         help="simulation backend for measured cells (default: auto — the "
         "vectorized array engine wherever a kernel exists, interpreted "
@@ -302,16 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result-store directory (default: {DEFAULT_OUT})",
     )
     run.add_argument(
-        "--collector", default=None, metavar="ENDPOINT",
-        help="also stream each completed cell record to a result collector "
-        "(host:port or a Unix socket path); the local store is still written",
-    )
-    run.add_argument(
         "--fleet", default=None, metavar="ENDPOINT",
         help="elastic fleet mode: pull heartbeat-renewed lease batches from "
-        "a collector (host:port or Unix socket path) instead of computing a "
-        "static shard, and stream every result back; incompatible with "
-        "--shard and --collector",
+        "a collector (host:port or Unix socket path) and stream every "
+        "result back; the local store is still written",
     )
     run.add_argument(
         "--lease-batch", type=_positive_int, default=DEFAULT_LEASE_BATCH,
@@ -326,18 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--token", default=None,
-        help=f"shared auth token for a TCP --collector (default: ${AUTH_TOKEN_ENV})",
+        help=f"shared auth token for a TCP --fleet (default: ${AUTH_TOKEN_ENV})",
     )
     run.add_argument("--quiet", action="store_true", help="no per-cell progress lines")
 
     sub.add_parser("list", help="list suites, generators and algorithms")
 
     merge = sub.add_parser(
-        "merge", help="union sharded JSONL result files into one store"
+        "merge", help="union JSONL result files into one store"
     )
     merge.add_argument(
         "inputs", nargs="+",
-        help="JSONL result files to merge (e.g. shards/*/results.jsonl)",
+        help="JSONL result files to merge (e.g. workers/*/results.jsonl)",
     )
     merge.add_argument(
         "--out", default=f"{DEFAULT_OUT}/results.jsonl",
@@ -380,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     collect = sub.add_parser(
-        "collect", help="run a result collector: stream sharded sweep results "
-        "into one deduplicated store",
+        "collect", help="run a result collector: lease cells to `run "
+        "--fleet` workers and keep their results in one deduplicated store",
     )
     collect.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -437,11 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--out", default=DEFAULT_OUT,
         help=f"result-store directory on the daemon side (default: {DEFAULT_OUT})",
-    )
-    submit.add_argument(
-        "--collector", default=None, metavar="ENDPOINT",
-        help="have the daemon stream the job's records to this result "
-        "collector as well",
     )
     submit.add_argument(
         "--token", default=None,
@@ -596,28 +555,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    if args.fleet is not None and (
-        args.shard is not None or args.collector is not None
-    ):
-        print(
-            "--fleet replaces static sharding and streaming: drop --shard "
-            "and --collector (the fleet endpoint receives every result)",
-            file=sys.stderr,
-        )
-        return 2
     store = ResultStore(args.out)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    sink = None
-    if args.collector is not None:
-        client = _make_client(args.collector, args.token)
-        if isinstance(client, int):
-            return client
-        sink = CollectorSink(client)
-    runner = SweepRunner(
-        suite, store, jobs=jobs, smoke=args.smoke, sizes=args.sizes,
-        seeds=args.seeds, shard=args.shard, sinks=(sink,) if sink else (),
-        engine=args.engine,
-    )
 
     def progress(result: CellResult) -> None:
         status = "ok" if result.verified else "VERIFY-FAILED"
@@ -635,7 +574,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"wall={result.wall_clock_s:.3f}s {status}"
         )
 
-    if args.fleet is not None:
+    if args.fleet is None:
+        print(f"suite {suite.name!r}: {suite.description}")
+        report = SweepRunner(
+            suite, store, jobs=jobs, smoke=args.smoke, sizes=args.sizes,
+            seeds=args.seeds, engine=args.engine,
+        ).run(progress=None if args.quiet else progress)
+        skipped, released = "already stored", ""
+    else:
         worker = FleetWorker(
             suite, store, args.fleet, token=args.token, jobs=jobs,
             smoke=args.smoke, sizes=args.sizes, seeds=args.seeds,
@@ -652,50 +598,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (ServiceError, ValueError) as error:
             print(str(error), file=sys.stderr)
             return 2
-        print(
-            f"cells: {report.total_cells} total, {report.skipped} ran "
-            f"elsewhere or were already stored, {report.executed} executed, "
-            f"{len(report.failures)} failed, {report.unverified} unverified  "
-            f"({report.wall_clock_s:.1f}s, jobs={jobs})"
-        )
-        print(f"store: {store.path}")
-        print(f"pushed {worker.pushed} record(s) to fleet {args.fleet}")
-        for failure in report.failures:
-            print(
-                f"FAILED cell {failure.cell.scenario} n={failure.cell.n} "
-                f"seed={failure.cell.seed}: {failure.error} "
-                f"(released back to the fleet)",
-                file=sys.stderr,
-            )
-        return 0 if report.ok else 1
-
-    shard_note = f" [shard {args.shard}]" if args.shard is not None else ""
-    print(f"suite {suite.name!r}{shard_note}: {suite.description}")
-    try:
-        report = runner.run(progress=None if args.quiet else progress)
-    finally:
-        if sink is not None:
-            sink.close()
+        skipped = "ran elsewhere or were already stored"
+        released = " (released back to the fleet)"
     print(
-        f"cells: {report.total_cells} total, {report.skipped} already stored, "
+        f"cells: {report.total_cells} total, {report.skipped} {skipped}, "
         f"{report.executed} executed, {len(report.failures)} failed, "
         f"{report.unverified} unverified  "
         f"({report.wall_clock_s:.1f}s, jobs={jobs})"
     )
     print(f"store: {store.path}")
-    if sink is not None:
-        print(f"streamed {sink.pushed} record(s) to collector {args.collector}")
-    if report.sink_error is not None:
-        print(
-            f"COLLECTOR STREAM FAILED after {sink.pushed} record(s): "
-            f"{report.sink_error} — the local store is complete; merge it "
-            f"into the collector store to recover",
-            file=sys.stderr,
-        )
+    if args.fleet is not None:
+        print(f"pushed {worker.pushed} record(s) to fleet {args.fleet}")
     for failure in report.failures:
         print(
             f"FAILED cell {failure.cell.scenario} n={failure.cell.n} "
-            f"seed={failure.cell.seed}: {failure.error}",
+            f"seed={failure.cell.seed}: {failure.error}{released}",
             file=sys.stderr,
         )
     return 0 if report.ok else 1
@@ -887,9 +804,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             smoke=args.smoke,
             sizes=args.sizes,
             seeds=args.seeds,
-            shard=str(args.shard) if args.shard is not None else None,
             out=args.out,
-            collector=args.collector,
             engine=args.engine,
         )
         print(f"submitted {args.suite!r} as {job_id}")
@@ -906,10 +821,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     )
     if status["error"]:
         print(f"job error: {status['error']}", file=sys.stderr)
-    if status.get("sink_error"):
-        print(
-            f"collector stream failed: {status['sink_error']}", file=sys.stderr
-        )
     for failure in status["failures"]:
         print(
             f"FAILED cell {failure['scenario']} n={failure['n']} "
@@ -920,7 +831,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         status["state"] == "done"
         and not status["failures"]
         and status["unverified"] == 0
-        and not status.get("sink_error")
     )
     return 0 if ok else 1
 

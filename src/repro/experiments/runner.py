@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from repro.experiments.shard import ShardSpec, shard_cells
-
 from repro.local import EnginePolicy, MessageMeter, numpy_available
 from repro.experiments.spec import ALGORITHMS, GENERATORS, Cell, Suite
 from repro.experiments.store import CellResult, ResultStore
@@ -147,46 +145,28 @@ class SweepReport:
     unverified: int
     failures: list[CellFailure] = field(default_factory=list)
     wall_clock_s: float = 0.0
-    #: First failure of a result sink (e.g. the ``--collector`` stream).
-    #: The sweep itself keeps running on the local store — the records are
-    #: safe and mergeable — but the run is not ``ok``: the caller asked
-    #: for streaming and part of the stream was lost.
-    sink_error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.unverified == 0 and self.sink_error is None
+        return not self.failures and self.unverified == 0
 
 
 def make_recorder(
     store: ResultStore,
-    sinks: Sequence[Callable[[CellResult], None]],
     report: SweepReport,
     progress: Callable[[CellResult], None] | None = None,
 ) -> Callable[[CellResult], None]:
-    """The per-result fan-out of :class:`SweepRunner` and the fleet worker.
+    """The per-result step of :class:`SweepRunner` and the fleet worker.
 
-    Appends the result to the store, ticks the report's counters, feeds
-    the sinks and then the progress hook.  A sink (e.g. the
-    ``--collector`` stream) that fails must not fail the sweep: the
-    result is already durable in the local store, so the first error is
-    recorded once in ``report.sink_error`` and the sinks disabled —
-    resume/merge recovers the lost stream.
+    Appends the result to the store, ticks the report's counters, then
+    calls the progress hook (whose errors propagate).
     """
-    live_sinks = list(sinks)
 
     def record(result: CellResult) -> None:
         store.append(result)
         report.executed += 1
         if not result.verified:
             report.unverified += 1
-        if live_sinks:
-            try:
-                for sink in live_sinks:
-                    sink(result)
-            except Exception as error:  # noqa: BLE001 - surfaced in report
-                report.sink_error = repr(error)
-                live_sinks.clear()
         if progress is not None:
             progress(result)
 
@@ -204,8 +184,6 @@ class SweepRunner:
         smoke: bool = False,
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
-        shard: ShardSpec | None = None,
-        sinks: Sequence[Callable[[CellResult], None]] = (),
         engine: str | None = None,
     ) -> None:
         if jobs < 1:
@@ -216,19 +194,11 @@ class SweepRunner:
         self.smoke = smoke
         self.sizes = sizes
         self.seeds = seeds
-        self.shard = shard
-        self.sinks = tuple(sinks)
         self.engine = engine
 
     def pending_cells(self) -> tuple[list[Cell], int]:
-        """The cells still to run, and how many the store already covers.
-
-        With a shard spec, only the cells owned by this shard count: the
-        disjoint fingerprint partition means ``k`` workers running the same
-        suite as shards ``0/k .. k-1/k`` never duplicate work.
-        """
+        """The cells still to run, and how many the store already covers."""
         cells = self.suite.cells(smoke=self.smoke, sizes=self.sizes, seeds=self.seeds)
-        cells = shard_cells(cells, self.shard)
         completed = self.store.completed_fingerprints()
         pending = [cell for cell in cells if cell.fingerprint not in completed]
         return pending, len(cells) - len(pending)
@@ -265,7 +235,7 @@ class SweepRunner:
             unverified=0,
         )
 
-        record = make_recorder(self.store, self.sinks, report, progress)
+        record = make_recorder(self.store, report, progress)
 
         def fail(cell: Cell, error: str) -> None:
             report.failures.append(CellFailure(cell, error))

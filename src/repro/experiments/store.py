@@ -243,7 +243,7 @@ class ResultStore:
 
 
 # ----------------------------------------------------------------------
-# merging sharded stores
+# merging stores
 # ----------------------------------------------------------------------
 
 #: Record fields ignored when deciding whether two records for the same
@@ -296,9 +296,9 @@ def resolve_duplicate(
     conflict — for a deterministic cell that means diverging code or
     environments produced the inputs.
 
-    Shared verbatim by :func:`merge_result_files` (file-based shard
-    merging) and the streaming collector, so the two fan-in paths cannot
-    drift apart.
+    Shared verbatim by :func:`merge_result_files` (file-based merging)
+    and the fleet's collector, so the two fan-in paths cannot drift
+    apart.
     """
     previous_ok = bool(previous.get("verified"))
     record_ok = bool(record.get("verified"))
@@ -379,8 +379,8 @@ def merge_result_files(
     When ``output`` already exists and ``include_existing_output`` is true
     it is treated as the *first* input, so repeated incremental merges into
     one store are safe.  Missing input files are tolerated and reported in
-    ``MergeReport.missing`` — a shard that has not produced results yet
-    should not abort the merge of the shards that have.
+    ``MergeReport.missing`` — a store that has not produced results yet
+    should not abort the merge of the stores that have.
 
     The merged file is written atomically (temp file + rename): a crash
     mid-merge never leaves a half-written output store.
@@ -422,7 +422,7 @@ def merge_result_files(
 
     report.merged = len(merged)
     if report.records_read == 0:
-        # No input contributed a single record — missing shards, empty
+        # No input contributed a single record — missing stores, empty
         # files, or a store holding only a truncated crash fragment: do
         # not plant an empty store at the destination.  A later `report`
         # should see "no store yet", not a valid-looking empty file

@@ -1,11 +1,11 @@
 """The distributed sweep service.
 
-Four layers turn the single-machine experiment runner into a
-multi-machine, resumable, mergeable, elastic sweep platform.  Sweeps
-themselves always execute through
+Four layers spread the single-machine experiment runner over many
+processes and machines.  Sweeps themselves always execute through
 :class:`~repro.experiments.runner.SweepRunner` on a
-:class:`~repro.experiments.runner.WorkerPool`, and static ``run --shard
-i/k`` partitioning lives in :mod:`repro.experiments.shard`:
+:class:`~repro.experiments.runner.WorkerPool`; across machines, the
+lease fleet (``collect`` + ``run <suite> --fleet``) is the one way a
+sweep is spread, and offline ``merge`` unions finished stores:
 
 * :mod:`repro.service.protocol` — the transport-neutral line-JSON wire
   protocol: :class:`Endpoint` addresses (Unix path or ``host:port``),
@@ -17,23 +17,20 @@ i/k`` partitioning lives in :mod:`repro.experiments.shard`:
   ``--listen``, over token-authenticated TCP (``serve`` / ``submit``
   subcommands), so many clients feed one long-lived pool; the ``report``
   verb serves rendered report bundles for finished jobs;
-* :mod:`repro.service.collector` — :class:`ResultCollector`, the live
-  fan-in: shard workers (``run --shard i/k --collector host:port``)
-  stream each completed cell record over the wire into one
-  fingerprint-deduplicated store that ``report`` consumes unchanged —
-  the cross-machine replacement for after-the-fact file merging, which
-  remains available via :func:`repro.experiments.store.merge_result_files`
-  and shares its duplicate policy
+* :mod:`repro.service.collector` — :class:`ResultCollector`, the fleet's
+  coordinator: workers push each completed cell record over the wire
+  into one fingerprint-deduplicated store that ``report`` consumes
+  unchanged, under the same duplicate policy as file-based merging
   (:func:`repro.experiments.store.resolve_duplicate`);
 * :mod:`repro.service.leases` — the elastic control plane:
   :class:`LeaseTable` tracks registered workers, heartbeats and
   per-fingerprint leases inside the collector (``register`` /
   ``heartbeat`` / ``lease`` / ``fleet_status`` verbs; a ``push``
   completes the cell's lease), and :class:`FleetWorker` is the pull
-  side behind ``run <suite> --fleet host:port`` — workers lease batches
-  instead of computing a static shard, dead workers' leases expire and
-  are reassigned to survivors, and replacement workers resume from the
-  collector's completed fingerprints.
+  side behind ``run <suite> --fleet host:port`` — workers lease batches,
+  dead workers' leases expire and are reassigned to survivors, and
+  replacement workers resume from the collector's completed
+  fingerprints.
 """
 
 from repro.service.client import (

@@ -5,13 +5,14 @@ transport — give it a Unix socket path or a ``host:port`` address
 (:func:`repro.service.protocol.parse_endpoint` decides which).  Every
 call opens a short-lived connection by default — connections are cheap,
 and statelessness means a client never wedges the server by holding a
-socket open.  Streaming callers (the ``--collector`` sink) use
-:meth:`ServiceClient.connection` to reuse one connection for many
-requests instead.
+socket open.  Streaming callers (a fleet worker's
+:class:`CollectorSink`) use :meth:`ServiceClient.connection` to reuse
+one connection for many requests instead.
 
 Startup races are absorbed here: a connect refused or a missing socket
 file retries with exponential backoff for up to ``connect_retry_s``
-seconds before surfacing :class:`ServiceError` — ``serve &`` followed
+seconds (default :data:`DEFAULT_CONNECT_RETRY_S`, read when the client
+is built) before surfacing :class:`ServiceError` — ``serve &`` followed
 immediately by ``submit`` works without hand-written sleep loops.
 
 TCP requests carry the shared auth token (explicit ``token=`` or the
@@ -103,12 +104,14 @@ class ServiceClient:
         endpoint: str | Path | Endpoint,
         timeout: float = 30.0,
         token: str | None = None,
-        connect_retry_s: float = DEFAULT_CONNECT_RETRY_S,
+        connect_retry_s: float | None = None,
     ) -> None:
         self.endpoint = parse_endpoint(endpoint)
         self.timeout = timeout
         self.token = resolve_token(token)
-        self.connect_retry_s = connect_retry_s
+        self.connect_retry_s = (
+            DEFAULT_CONNECT_RETRY_S if connect_retry_s is None else connect_retry_s
+        )
 
     def _with_token(self, payload: dict[str, Any]) -> dict[str, Any]:
         # Unix sockets are guarded by filesystem permissions; only TCP
@@ -197,9 +200,7 @@ class ServiceClient:
         smoke: bool = False,
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
-        shard: str | None = None,
         out: str | None = None,
-        collector: str | None = None,
         engine: str | None = None,
     ) -> str:
         """Enqueue a sweep job; returns the job id."""
@@ -208,12 +209,8 @@ class ServiceClient:
             payload["sizes"] = list(sizes)
         if seeds is not None:
             payload["seeds"] = list(seeds)
-        if shard is not None:
-            payload["shard"] = shard
         if out is not None:
             payload["out"] = out
-        if collector is not None:
-            payload["collector"] = collector
         if engine is not None:
             payload["engine"] = engine
         return self.request(payload)["job"]
@@ -342,12 +339,12 @@ class ServiceClient:
 class CollectorSink:
     """Stream :class:`CellResult` records to a collector as they complete.
 
-    Built for the runner's ``sinks`` hook: calling the sink pushes one
-    record over a persistent connection (opened lazily, reopened once per
-    push on failure — a collector restart costs one retry, not the
-    sweep).  A push that still fails raises :class:`ServiceError`; the
-    sweep's local store already holds the record, so the caller can
-    surface the error without losing work.
+    The push side of a :class:`~repro.service.leases.FleetWorker`:
+    calling the sink pushes one record over a persistent connection
+    (opened lazily, reopened once per push on a transport failure — a
+    collector restart costs one retry, not the sweep).  A push that
+    still fails raises :class:`ServiceError`; the worker's local store
+    already holds the record, so a rerun loses no work.
     """
 
     def __init__(self, client: ServiceClient) -> None:
@@ -356,10 +353,7 @@ class CollectorSink:
         self._connection: ServiceConnection | None = None
 
     def __call__(self, result: CellResult) -> None:
-        self.push_record(result.to_record())
-
-    def push_record(self, record: dict[str, Any]) -> None:
-        payload = {"op": "push", "records": [record]}
+        payload = {"op": "push", "records": [result.to_record()]}
         try:
             self._ensure_connection().request(payload)
         except ServiceTransportError:

@@ -1,16 +1,14 @@
-"""The result collector: live fan-in of sharded sweep results.
+"""The result collector: the fleet's coordinator and live result fan-in.
 
 ``python -m repro.experiments collect --listen host:port`` runs one
 :class:`ResultCollector`: a :class:`~repro.service.protocol.LineServer`
-whose ``push`` verb appends streamed
+that leases cells to fleet workers (``run <suite> --fleet host:port``)
+and whose ``push`` verb appends their streamed
 :class:`~repro.experiments.store.CellResult` records into one
-fingerprint-deduplicated :class:`~repro.experiments.store.ResultStore`.
-Shard workers run ``run <suite> --shard i/k --collector host:port`` and
-stream each completed cell the moment it finishes — the cross-machine
-replacement for copying shard JSONL files around and merging them after
-the fact.  The collector's store is a perfectly ordinary store:
-``report`` consumes it unchanged, and the ``report`` verb serves the
-rendered bundle straight off it.
+fingerprint-deduplicated :class:`~repro.experiments.store.ResultStore`
+the moment each cell finishes.  The collector's store is a perfectly
+ordinary store: ``report`` consumes it unchanged, and the ``report``
+verb serves the rendered bundle straight off it.
 
 Deduplication applies :func:`repro.experiments.store.resolve_duplicate`
 — the *same* policy as file-based merging, under one lock, so the
@@ -37,7 +35,9 @@ Verbs
     cumulative records/sec ingest rate.
 ``report``
     The rendered report bundle over everything collected so far — the
-    same bytes ``report --json`` would write from the store.
+    same bytes ``report --json`` would write from the store.  A ``job``
+    field is refused: jobs are the daemon's, and the collector's bundle
+    covers every cell it holds, not one job's.
 ``metrics``
     The collector's full Prometheus-text exposition (ingest counters by
     fate, push-batch sizes, stream lag, per-verb latency).
@@ -97,7 +97,8 @@ __all__ = ["ResultCollector"]
 
 
 class ResultCollector:
-    """Collect streamed shard results into one deduplicated store."""
+    """Lease cells to fleet workers and collect their results into one
+    deduplicated store."""
 
     def __init__(
         self,
@@ -388,6 +389,11 @@ class ResultCollector:
                 **self._counters(),
             )
         if op == "report":
+            if "job" in request:
+                return error_response(
+                    "the collector's report verb takes no 'job' field: its "
+                    "bundle covers the whole collected store"
+                )
             with self._lock:
                 records = list(self._latest.values())
             if not records:

@@ -17,12 +17,12 @@ Verbs
     Liveness + pool statistics.
 ``submit``
     Enqueue a sweep job: ``{"op": "submit", "suite": "paper-claims",
-    "smoke": true, "shard": "0/2", "out": "experiments/results",
-    "collector": "host:port", "engine": "vectorized"}``.  Validation
-    (suite name, shard spec, collector endpoint, engine mode) happens
-    here, so a bad request fails fast at the client instead of inside
-    the queue.  With a ``collector``, every
-    stored record is also streamed to that result collector live.
+    "smoke": true, "out": "experiments/results", "engine":
+    "vectorized"}``.  Validation (suite name, sizes, seeds, engine mode)
+    happens here, so a bad request fails fast at the client instead of
+    inside the queue.  The retired ``shard`` and ``collector`` fields
+    are refused by name: spreading a sweep over machines is the lease
+    fleet's job (``collect`` + ``run <suite> --fleet``).
 ``status``
     One job's state (``{"op": "status", "job": "job-1"}``) or, without a
     job id, every job plus pool traffic counters.
@@ -61,7 +61,6 @@ from typing import Any
 
 from repro.experiments.report import report_payload
 from repro.experiments.runner import SweepRunner, WorkerPool
-from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import get_suite
 from repro.experiments.store import DEFAULT_OUT, ResultStore
 from repro.local import ENGINE_MODES
@@ -70,7 +69,7 @@ from repro.obs.timeseries import (
     DEFAULT_HISTORY_CAPACITY,
     DEFAULT_SCRAPE_INTERVAL_S,
 )
-from repro.service.client import CollectorSink, ServiceClient, ServiceError
+from repro.service.client import ServiceError
 from repro.service.protocol import (
     MAX_SOCKET_PATH_BYTES,
     LineServer,
@@ -98,6 +97,10 @@ MAX_RESULT_RECORDS_IN_MEMORY = 10_000
 #: evicted as new ones are submitted, so heavy traffic cannot grow the
 #: daemon without bound.
 MAX_FINISHED_JOBS = 50
+
+#: ``submit`` fields of the removed static-shard and streaming paths,
+#: refused by name when an older client still sends them.
+RETIRED_SUBMIT_FIELDS = ("shard", "collector")
 
 
 def _int_tuple_field(name: str, value: Any) -> tuple[int, ...] | None:
@@ -142,9 +145,7 @@ class Job:
     smoke: bool = False
     sizes: tuple[int, ...] | None = None
     seeds: tuple[int, ...] | None = None
-    shard: str | None = None
     out: str = DEFAULT_OUT
-    collector: str | None = None
     engine: str | None = None
     state: str = "queued"  # queued | running | done | failed
     submitted_s: float = field(default_factory=time.time)
@@ -156,7 +157,6 @@ class Job:
     unverified: int = 0
     failures: list[dict[str, Any]] = field(default_factory=list)
     error: str | None = None
-    sink_error: str | None = None
     results: list[dict[str, Any]] = field(default_factory=list)
     results_truncated: bool = False
 
@@ -174,9 +174,7 @@ class Job:
             "smoke": self.smoke,
             "sizes": list(self.sizes) if self.sizes else None,
             "seeds": list(self.seeds) if self.seeds else None,
-            "shard": self.shard,
             "out": self.out,
-            "collector": self.collector,
             "engine": self.engine,
             "state": self.state,
             "total_cells": self.total_cells,
@@ -185,7 +183,6 @@ class Job:
             "unverified": self.unverified,
             "failures": list(self.failures),
             "error": self.error,
-            "sink_error": self.sink_error,
         }
 
 
@@ -458,22 +455,13 @@ class SweepDaemon:
                     "error": error,
                 })
 
-        sink = None
         try:
-            suite = get_suite(job.suite)
-            shard = ShardSpec.parse(job.shard) if job.shard else None
-            sinks: tuple = ()
-            if job.collector:
-                sink = CollectorSink(ServiceClient(job.collector, token=self.token))
-                sinks = (sink,)
-            report = SweepRunner(
-                suite,
+            SweepRunner(
+                get_suite(job.suite),
                 ResultStore(job.out),
                 smoke=job.smoke,
                 sizes=job.sizes,
                 seeds=job.seeds,
-                shard=shard,
-                sinks=sinks,
                 engine=job.engine,
             ).run(
                 progress=progress,
@@ -481,15 +469,12 @@ class SweepDaemon:
                 on_plan=on_plan,
                 on_failure=on_failure,
             )
-            job.sink_error = report.sink_error
         except Exception as error:  # noqa: BLE001 - surfaced via status verb
             job.state = "failed"
             job.error = repr(error)
         else:
             job.state = "done"
         finally:
-            if sink is not None:
-                sink.close()
             job.finished_s = time.time()
             self._job_seconds.observe(time.perf_counter() - job_start)
 
@@ -538,18 +523,13 @@ class SweepDaemon:
             get_suite(suite_name)
         except KeyError as error:
             return error_response(error.args[0])
-        shard = request.get("shard")
-        if shard is not None:
-            try:
-                ShardSpec.parse(str(shard))
-            except ValueError as error:
-                return error_response(str(error))
-        collector = request.get("collector")
-        if collector is not None:
-            try:
-                parse_endpoint(str(collector))
-            except ValueError as error:
-                return error_response(str(error))
+        for retired in RETIRED_SUBMIT_FIELDS:
+            if retired in request:
+                # Silently ignoring it would run the whole suite, unstreamed.
+                return error_response(
+                    f"submit: the {retired!r} field is retired; spread a "
+                    f"sweep with `collect` plus `run <suite> --fleet`"
+                )
         engine = request.get("engine")
         if engine is not None and engine not in ENGINE_MODES:
             return error_response(
@@ -577,9 +557,7 @@ class SweepDaemon:
                 smoke=bool(request.get("smoke", False)),
                 sizes=sizes,
                 seeds=seeds,
-                shard=str(shard) if shard is not None else None,
                 out=str(request.get("out") or DEFAULT_OUT),
-                collector=str(collector) if collector is not None else None,
                 engine=str(engine) if engine is not None else None,
             )
             self._jobs[job.id] = job

@@ -1,15 +1,13 @@
 """Elastic fleet scheduling: leases over the cell-fingerprint space.
 
-Static ``--shard i/k`` partitioning assumes ``k`` healthy, equal
-machines for the whole sweep — one lost worker strands its shard until
-a human reruns it.  The lease model drops that assumption: workers
-*register* with the collector, *pull* batches of pending cells under
-short-lived leases, renew them from a background heartbeat thread, and
-stream each completed cell back through the ordinary ``push`` verb
-(push doubles as lease completion).  A lease whose worker stops
-heartbeating expires and its fingerprints return to the pending set,
-where any live worker picks them up on its next ``lease`` call — the
-robustness jump from "k machines" to "whatever shows up".
+The lease fleet is how a sweep spreads over many processes or machines.
+Workers *register* with the collector, *pull* batches of pending cells
+under short-lived leases, renew them from a background heartbeat
+thread, and stream each completed cell back through the ordinary
+``push`` verb (push doubles as lease completion).  A lease whose worker
+stops heartbeating expires and its fingerprints return to the pending
+set, where any live worker picks them up on its next ``lease`` call —
+no fixed machine count, and a lost worker strands nothing.
 
 Two halves live here:
 
@@ -313,8 +311,8 @@ class LeaseTable:
         """Mark a fingerprint done; retires its lease if one is active.
 
         Wired to the collector's ``push`` ingest, so completion needs no
-        verb of its own — and a record streamed by a *non*-fleet shard
-        worker still informs the scheduler.
+        verb of its own — and any pushed record, leased or not, still
+        informs the scheduler.
         """
         now = self._clock()
         with self._lock:
@@ -400,23 +398,23 @@ def _default_worker_name() -> str:
 class FleetWorker:
     """Pull-based sweep worker for ``run <suite> --fleet host:port``.
 
-    Instead of computing a static shard, the worker registers with the
-    collector, then loops: lease a batch of pending fingerprints,
-    execute the cells on a warm :class:`WorkerPool`, append each result
-    to the local store and push it (push retires the lease).  A
-    background heartbeat thread renews the worker's leases every
-    ``heartbeat_interval_s`` (the cadence the collector hands out at
-    registration), so a cell may run far longer than the lease TTL
+    The worker registers with the collector, then loops: lease a batch
+    of pending fingerprints, execute the cells on a warm
+    :class:`WorkerPool`, append each result to the local store and push
+    it (push retires the lease).  A background heartbeat thread renews
+    the worker's leases every ``heartbeat_interval_s`` (the cadence the
+    collector hands out at registration), so a cell may run far longer
+    than the lease TTL
     without losing its lease.  Failed cells are *released* back to the
     fleet and excluded from this worker's future offers — another
     machine may still try them, and local resume retries them next
-    sweep, exactly like the static path.
+    sweep, exactly like a plain ``run``.
 
-    Unlike the fail-soft ``--collector`` sink of a static shard run, a
-    push failure here aborts the run: in fleet mode the collector *is*
-    the control plane, and a worker that cannot push cannot complete
-    leases either.  The local store keeps everything already executed,
-    so a rerun resumes collector-aware with no work lost.
+    A push that fails even after :class:`CollectorSink`'s one reconnect
+    aborts the run: the collector *is* the control plane, and a worker
+    that cannot push cannot complete leases either.  The local store
+    keeps everything already executed, so a rerun resumes
+    collector-aware with no work lost.
     """
 
     def __init__(
@@ -498,21 +496,20 @@ class FleetWorker:
             executed=0,
             unverified=0,
         )
+        # A malformed endpoint fails here, before any worker forks.
+        client = ServiceClient(self.fleet, token=self.token)
+        sink = CollectorSink(client)
         pool = WorkerPool(workers=self.jobs)
         # Fork the workers before any thread or socket exists: the
         # children must not inherit a mid-flight connection or a lock
         # the heartbeat thread holds.
         pool.start()
-        client = ServiceClient(self.fleet, token=self.token)
-        sink = CollectorSink(client)
-        self._register(client)
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
             args=(client,),
             name=f"fleet-heartbeat-{self.name}",
             daemon=True,
         )
-        heartbeat.start()
 
         def push(result: CellResult) -> None:
             # The progress hook of make_recorder, which lets its errors
@@ -522,10 +519,12 @@ class FleetWorker:
             if self.progress is not None:
                 self.progress(result)
 
-        record = make_recorder(self.store, (), report, progress=push)
+        record = make_recorder(self.store, report, progress=push)
         failed: set[str] = set()
         release: list[str] = []
         try:
+            self._register(client)
+            heartbeat.start()
             while True:
                 offers = [
                     fingerprint
@@ -570,7 +569,8 @@ class FleetWorker:
                 self._stop.wait(self.poll_interval_s)
         finally:
             self._stop.set()
-            heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
+            if heartbeat.is_alive():
+                heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
             sink.close()
             pool.shutdown()
         report.skipped = (

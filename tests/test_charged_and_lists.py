@@ -2,10 +2,10 @@
 
 Covers the acceptance criteria of the charged layer: ``run charged`` cells
 carry both the measured and the analytic account through the store, the
-report emits measured-vs-charged columns and fits on either series, the
-sharded path (``run --shard`` → ``merge`` → ``report``) reproduces the
-unsharded sweep for the new suites, and the persistent worker pool runs
-charged and list-variant cells identically to the plain runner.
+report emits measured-vs-charged columns and fits on either series, and
+the persistent worker pool runs charged and list-variant cells
+identically to the plain runner.  (That a fleet of workers reproduces the
+plain sweep for these suites is pinned in ``test_service_fleet.py``.)
 """
 
 import json
@@ -16,13 +16,10 @@ from repro.experiments import (
     CellResult,
     ResultStore,
     SweepRunner,
-    build_report,
     get_suite,
-    merge_result_files,
 )
 from repro.experiments.cli import main
 from repro.experiments.runner import WorkerPool
-from repro.experiments.shard import ShardSpec
 
 
 def _canonical(records):
@@ -72,63 +69,6 @@ class TestChargedStoreRoundtrip:
         ).run()
         assert second.executed == 0
         assert second.skipped == first.total_cells
-
-
-@pytest.mark.parametrize("suite_name", ["charged", "orientation-lists"])
-class TestShardMergeReportEquivalence:
-    def test_sharded_run_reproduces_unsharded_store(self, suite_name, tmp_path):
-        suite = get_suite(suite_name)
-        kwargs = dict(jobs=1, smoke=True)
-
-        whole = ResultStore(tmp_path / "whole")
-        assert SweepRunner(suite, whole, **kwargs).run().ok
-
-        shard_paths = []
-        for index in range(2):
-            store = ResultStore(tmp_path / f"shard{index}")
-            assert SweepRunner(
-                suite, store, shard=ShardSpec(index, 2), **kwargs
-            ).run().ok
-            shard_paths.append(store.path)
-
-        merged = tmp_path / "merged" / "results.jsonl"
-        report = merge_result_files(shard_paths, merged)
-        assert report.ok
-        assert _canonical(ResultStore.from_path(merged).records()) == _canonical(
-            whole.records()
-        )
-
-    def test_report_identical_across_paths(self, suite_name, tmp_path, capsys):
-        for index in range(2):
-            assert main([
-                "run", suite_name, "--smoke", "--jobs", "1", "--quiet",
-                "--shard", f"{index}/2", "--out", str(tmp_path / f"s{index}"),
-            ]) == 0
-        assert main([
-            "run", suite_name, "--smoke", "--jobs", "1", "--quiet",
-            "--out", str(tmp_path / "whole"),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "merge", "--out", str(tmp_path / "merged" / "results.jsonl"),
-            str(tmp_path / "s0" / "results.jsonl"),
-            str(tmp_path / "s1" / "results.jsonl"),
-        ]) == 0
-        capsys.readouterr()
-        # Wall-clock means are nondeterministic, so compare the scaling
-        # table, fits and betas — everything the report derives from the
-        # semantic record fields — rather than the rendered text.
-        merged = build_report(
-            ResultStore(tmp_path / "merged").records()
-        )
-        whole = build_report(ResultStore(tmp_path / "whole").records())
-        assert merged.scaling.to_json() == whole.scaling.to_json()
-        assert merged.fits.to_json() == whole.fits.to_json()
-        assert merged.betas == whole.betas
-        if suite_name == "charged":
-            assert any(
-                column.endswith(" [charged]") for column in merged.scaling.columns
-            )
 
 
 class TestWorkerPoolRunsNewSuites:

@@ -197,7 +197,8 @@ class TestMetricsAndDashboardCLI:
         assert code == 0
         assert "# HELP collector_records_total" in capsys.readouterr().out
 
-    def test_metrics_bad_endpoint_is_exit_2(self, tmp_path, capsys):
+    def test_metrics_bad_endpoint_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.service.client.DEFAULT_CONNECT_RETRY_S", 0.0)
         code = main(["metrics", "--connect", str(tmp_path / "nope.sock")])
         assert code == 2
 
@@ -462,7 +463,8 @@ class TestHistoryAndDiffCLI:
         assert code == 2
         assert "--window requires --history" in capsys.readouterr().err
 
-    def test_failure_messages_name_the_endpoint(self, tmp_path, capsys):
+    def test_failure_messages_name_the_endpoint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.service.client.DEFAULT_CONNECT_RETRY_S", 0.0)
         endpoint = tmp_path / "nope.sock"
         code = main(["metrics", "--connect", str(endpoint), "--history"])
         assert code == 2

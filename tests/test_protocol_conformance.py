@@ -126,7 +126,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("payload", [
         {"op": "ping"},
-        {"op": "submit", "suite": "paper-claims", "smoke": True, "shard": "0/2"},
+        {"op": "submit", "suite": "paper-claims", "smoke": True, "engine": "auto"},
         {"op": "status", "job": "job-1"},
         {"op": "results", "job": "job-1"},
         {"op": "report", "job": "job-1"},

@@ -1,4 +1,4 @@
-"""CLI tests for the service subcommands: run --shard, merge, serve, submit."""
+"""CLI tests for the service subcommands: merge, serve, submit, collect."""
 
 import json
 import socket
@@ -9,51 +9,6 @@ import pytest
 
 from repro.experiments.cli import main
 from repro.service import ServiceClient
-
-
-class TestRunShard:
-    def test_shard_run_merge_report_roundtrip(self, tmp_path, capsys):
-        for index in range(2):
-            assert main([
-                "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
-                "--shard", f"{index}/2", "--out", str(tmp_path / f"s{index}"),
-            ]) == 0
-        out = capsys.readouterr().out
-        assert "[shard 0/2]" in out and "[shard 1/2]" in out
-
-        merged = tmp_path / "merged" / "results.jsonl"
-        assert main([
-            "merge", "--out", str(merged),
-            str(tmp_path / "s0" / "results.jsonl"),
-            str(tmp_path / "s1" / "results.jsonl"),
-        ]) == 0
-        assert "0 conflicts" in capsys.readouterr().out
-
-        assert main(["report", "--out", str(tmp_path / "merged")]) == 0
-        assert "Theorem 3 shape" in capsys.readouterr().out
-
-    def test_malformed_shard_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "paper-claims", "--shard", "2of3"])
-        assert "i/k" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", ["5/2", "1/2/3", "a/b", "0/0"])
-    def test_every_shard_parse_failure_carries_format_hint(self, bad, capsys):
-        """ShardSpec's own range errors ("index must be in [0, k)") do not
-        mention the syntax; the CLI converter must append the i/k hint so
-        users see the expected format whatever the failure mode."""
-        with pytest.raises(SystemExit):
-            main(["run", "paper-claims", "--shard", bad])
-        err = capsys.readouterr().err
-        assert "argument --shard" in err
-        assert "i/k" in err and "--shard 0/2" in err
-
-    def test_shard_converter_has_readable_name(self):
-        """argparse's fallback error is "invalid <type.__name__> value";
-        the private converter name must not leak into user output."""
-        from repro.experiments.cli import _shard_spec
-
-        assert _shard_spec.__name__ == "shard spec"
 
 
 class TestMergeCli:
@@ -141,7 +96,8 @@ class TestServeSubmitCli:
         assert excinfo.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
-    def test_submit_without_daemon_exits_2(self, tmp_path, capsys):
+    def test_submit_without_daemon_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.service.client.DEFAULT_CONNECT_RETRY_S", 0.0)
         assert main([
             "submit", "paper-claims",
             "--socket", str(tmp_path / "nope.sock"),
@@ -154,8 +110,8 @@ class TestServeSubmitCli:
 )
 class TestCollectCli:
     def test_collect_run_report_connect_roundtrip(self, tmp_path, capsys, monkeypatch):
-        """The CLI face of the streamed transport: `collect --listen`,
-        `run --collector`, `report --connect` — token via the env var."""
+        """The CLI face of the fleet transport: `collect --listen`,
+        `run --fleet`, `report --connect` — token via the env var."""
         monkeypatch.setenv("REPRO_SERVICE_TOKEN", "cli-token")
         from repro.service import ResultCollector
 
@@ -168,10 +124,10 @@ class TestCollectCli:
             assert main([
                 "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
                 "--out", str(tmp_path / "local"),
-                "--collector", f"{host}:{port}",
+                "--fleet", f"{host}:{port}",
             ]) == 0
             out = capsys.readouterr().out
-            assert "streamed" in out and f"{host}:{port}" in out
+            assert "pushed" in out and f"{host}:{port}" in out
             assert main(["report", "--connect", f"{host}:{port}"]) == 0
             assert "Theorem 3 shape" in capsys.readouterr().out
         finally:
@@ -205,7 +161,7 @@ class TestCollectCli:
         assert "--suite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["run", "paper-claims", "--smoke", "--collector", "127.0.0.1:99999"],
+        ["run", "paper-claims", "--smoke", "--fleet", "127.0.0.1:99999"],
         ["report", "--connect", "127.0.0.1:99999"],
         ["submit", "paper-claims", "--socket", "127.0.0.1:99999"],
     ])
@@ -213,7 +169,8 @@ class TestCollectCli:
         assert main(argv) == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_report_connect_unreachable_exits_2(self, tmp_path, capsys):
+    def test_report_connect_unreachable_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.service.client.DEFAULT_CONNECT_RETRY_S", 0.0)
         assert main([
             "report", "--connect", str(tmp_path / "ghost.sock"),
         ]) == 2

@@ -1,7 +1,7 @@
-"""Cross-machine transport tests: the TCP result collector, streamed
-shard→collector equivalence with the file-based merge path, concurrent
+"""Cross-machine transport tests: the TCP result collector, concurrent
 fingerprint dedup, the daemon-side ``report`` verb, the daemon's TCP
-listener, and the client's connect-retry backoff."""
+listener, and the client's connect-retry backoff.  (Fleet workers
+streaming into a collector are pinned in ``test_service_fleet.py``.)"""
 
 import socket
 import threading
@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.experiments import CellResult, ResultStore, get_suite
+from repro.experiments import CellResult, ResultStore
 from repro.experiments.cli import main
 from repro.experiments.store import resolve_duplicate
 from repro.service import (
@@ -102,6 +102,15 @@ class TestCollectorVerbs:
     def test_report_on_empty_collector_is_an_error(self, collector):
         with pytest.raises(ServiceError, match="no results"):
             collector_client(collector).report()
+
+    def test_report_with_a_job_field_is_an_error(self, collector):
+        """Jobs are the daemon's: the collector must not answer a job's
+        report with its whole-store bundle."""
+        client = collector_client(collector)
+        client.push([make_result(1).to_record()])
+        with pytest.raises(ServiceError, match="'job'"):
+            client.report(job="job-1")
+        assert client.report()["records"] == 1
 
     def test_tcp_push_without_token_refused(self, collector):
         client = collector_client(collector)
@@ -257,96 +266,6 @@ class TestDedupPolicy:
         assert equal_rank.keep_newcomer and equal_rank.conflict
 
 
-class TestStreamedEquivalence:
-    """The acceptance bar: two shard workers streaming to a TCP collector
-    yield a store whose ``report --json`` bundle is byte-identical to the
-    PR 3 file-based shard→merge→report path over the same records."""
-
-    def test_streamed_store_report_matches_merge_path(self, collector, tmp_path, capsys):
-        host, port = collector.tcp_address
-
-        def run_shard(index):
-            assert main([
-                "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
-                "--shard", f"{index}/2", "--out", str(tmp_path / f"shard{index}"),
-                "--collector", f"{host}:{port}", "--token", TOKEN,
-            ]) == 0
-
-        # Two shard workers streaming concurrently, like two machines would.
-        threads = [
-            threading.Thread(target=run_shard, args=(index,)) for index in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-
-        expected = len(get_suite("paper-claims").cells(smoke=True))
-        assert collector.accepted == expected
-        assert collector.dropped == 0 and collector.conflicts == 0
-
-        # file-based path: merge the shard workers' local stores
-        merged = tmp_path / "merged"
-        assert main([
-            "merge", "--out", str(merged / "results.jsonl"),
-            str(tmp_path / "shard0" / "results.jsonl"),
-            str(tmp_path / "shard1" / "results.jsonl"),
-        ]) == 0
-        assert main([
-            "report", "--out", str(merged), "--json", str(tmp_path / "merged.json"),
-            "--csv", str(tmp_path / "merged.csv"),
-        ]) == 0
-
-        # streamed path, read two ways: the collector's store file, and
-        # the collector's server-side report verb
-        assert main([
-            "report", "--out", str(tmp_path / "central"),
-            "--json", str(tmp_path / "central.json"),
-        ]) == 0
-        assert main([
-            "report", "--connect", f"{host}:{port}", "--token", TOKEN,
-            "--json", str(tmp_path / "verb.json"), "--csv", str(tmp_path / "verb.csv"),
-        ]) == 0
-        capsys.readouterr()
-
-        merged_json = (tmp_path / "merged.json").read_bytes()
-        assert merged_json == (tmp_path / "central.json").read_bytes()
-        assert merged_json == (tmp_path / "verb.json").read_bytes()
-        assert (tmp_path / "merged.csv").read_bytes() == (tmp_path / "verb.csv").read_bytes()
-        # and the stores themselves hold identical cell sets
-        merged_records = {
-            r["fingerprint"]: r for r in ResultStore(merged).records()
-        }
-        streamed_records = {
-            r["fingerprint"]: r for r in ResultStore(tmp_path / "central").records()
-        }
-        assert merged_records == streamed_records
-
-    def test_sink_failure_does_not_fail_the_sweep(self, tmp_path, capsys):
-        """A collector that disappears mid-sweep costs the stream, not the
-        results: the local store completes, the exit code flags the loss."""
-        collector = ResultCollector(
-            out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN
-        )
-        collector.start()
-        host, port = collector.tcp_address
-        collector.close()  # gone before the sweep starts
-        code = main([
-            "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
-            "--shard", "0/2", "--out", str(tmp_path / "local"),
-            "--collector", f"{host}:{port}", "--token", TOKEN,
-        ])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "COLLECTOR STREAM FAILED" in captured.err
-        # every executed cell still landed in the local store
-        expected = [
-            cell for cell in get_suite("paper-claims").cells(smoke=True)
-            if int(cell.fingerprint, 16) % 2 == 0
-        ]
-        assert len(ResultStore(tmp_path / "local").records()) == len(expected)
-
-
 class TestDaemonReportVerb:
     @pytest.fixture()
     def daemon(self, tmp_path):
@@ -441,26 +360,6 @@ class TestDaemonTcp:
             daemon.start()
         assert not daemon.pool.started
         daemon.close()
-
-    def test_daemon_job_streams_to_collector(self, collector, tmp_path):
-        """submit --collector: the daemon itself streams the job's records."""
-        host, port = collector.tcp_address
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=2, token=TOKEN
-        )
-        daemon.start()
-        try:
-            client = ServiceClient(daemon.socket_path)
-            job = client.submit(
-                "paper-claims", smoke=True, out=str(tmp_path / "store"),
-                collector=f"{host}:{port}",
-            )
-            status = client.wait(job, timeout=120)
-            assert status["state"] == "done"
-            assert status["sink_error"] is None
-            assert collector.accepted == status["executed"] > 0
-        finally:
-            daemon.close()
 
 
 class TestClientConnectRetry:

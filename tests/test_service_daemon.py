@@ -61,19 +61,6 @@ class TestVerbs:
         assert second["executed"] == 0
         assert second["skipped"] == second["total_cells"] == first["executed"]
 
-    def test_sharded_submit(self, client, tmp_path):
-        jobs = [
-            client.submit(
-                "paper-claims", smoke=True, shard=f"{index}/2",
-                out=str(tmp_path / f"s{index}"),
-            )
-            for index in range(2)
-        ]
-        statuses = [client.wait(job) for job in jobs]
-        assert all(status["state"] == "done" for status in statuses)
-        total = sum(status["executed"] for status in statuses)
-        assert total == len(get_suite("paper-claims").cells(smoke=True))
-
     def test_status_without_job_lists_all(self, client, tmp_path):
         job = client.submit("paper-claims", smoke=True, out=str(tmp_path / "x"))
         client.wait(job)
@@ -85,9 +72,18 @@ class TestVerbs:
         with pytest.raises(ServiceError, match="unknown suite"):
             client.submit("no-such-suite")
 
-    def test_submit_bad_shard_fails_fast(self, client):
-        with pytest.raises(ServiceError, match="shard"):
-            client.submit("paper-claims", shard="2/2")
+    @pytest.mark.parametrize("field,value", [
+        ("shard", "0/2"),
+        ("collector", "127.0.0.1:7919"),
+    ])
+    def test_submit_retired_fields_fail_loudly(self, client, field, value):
+        """An older client's static-shard or streaming request must not
+        silently run the whole suite unstreamed."""
+        with pytest.raises(ServiceError, match=f"'{field}' field is retired"):
+            client.request({
+                "op": "submit", "suite": "paper-claims", field: value,
+            })
+        assert client.status()["jobs"] == []
 
     def test_submit_bad_engine_fails_fast(self, client):
         with pytest.raises(ServiceError, match="unknown engine"):
@@ -210,7 +206,8 @@ class TestBoundedMemory:
 
 
 class TestShutdown:
-    def test_shutdown_verb_stops_daemon(self, tmp_path):
+    def test_shutdown_verb_stops_daemon(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.client.DEFAULT_CONNECT_RETRY_S", 0.0)
         daemon = SweepDaemon(socket_path=tmp_path / "s.sock", workers=1)
         daemon.start()
         client = ServiceClient(daemon.socket_path)

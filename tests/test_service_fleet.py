@@ -2,9 +2,10 @@
 fake clock, the collector's fleet verbs, the pull-based
 :class:`FleetWorker` loop end to end (including a dead worker whose
 leases are reassigned to a survivor, byte-identical reports included),
-the transport-vs-server-error split in :class:`CollectorSink`, and a
-restarted collector skipping malformed store records instead of
-refusing to start."""
+two concurrent workers matching ``merge`` and a one-machine run, the
+retired ``--shard``/``--collector`` flags, the transport-vs-server-error
+split in :class:`CollectorSink`, and a restarted collector skipping
+malformed store records instead of refusing to start."""
 
 import json
 import socket
@@ -12,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.experiments import ResultStore, Suite, get_suite
+from repro.experiments import ResultStore, Suite, SweepRunner, get_suite
 from repro.experiments.cli import main
 from repro.experiments.spec import (
     ALGORITHMS,
@@ -182,7 +183,7 @@ class TestLeaseTable:
         assert table.grant(alpha, ["fp-0"], limit=1)["granted"] == []
 
     def test_complete_without_a_lease_counts_no_lease_event(self):
-        """A non-fleet shard worker's push still informs the scheduler
+        """A push for an unleased cell still informs the scheduler
         (the fingerprint is done) but must not tick lease metrics."""
         table, _ = make_table()
         table.complete("fp-0")
@@ -483,8 +484,6 @@ class TestFleetWorkerEndToEnd:
         # and modulo the nonsemantic wall clock, a plain single-machine
         # run over the same suite agrees record for record
         plain = ResultStore(tmp_path / "plain")
-        from repro.experiments import SweepRunner
-
         assert SweepRunner(TINY, plain, jobs=1).run().ok
 
         def semantic(store):
@@ -556,15 +555,14 @@ class TestFleetWorkerEndToEnd:
         assert collector.leases.counts["released"] == 1
         assert collector.leases.active_leases() == 0
 
-    def test_cli_fleet_flag_is_exclusive_with_shard_and_collector(
+    def test_cli_retired_shard_and_collector_flags_are_argparse_errors(
         self, capsys
     ):
         for extra in (["--shard", "0/2"], ["--collector", "127.0.0.1:1"]):
-            assert main([
-                "run", "paper-claims", "--smoke",
-                "--fleet", "127.0.0.1:1", *extra,
-            ]) == 2
-            assert "--fleet replaces" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "paper-claims", "--smoke", *extra])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
 
     def test_cli_fleet_run_end_to_end(self, collector, tmp_path, capsys):
         host, port = collector.tcp_address
@@ -580,6 +578,81 @@ class TestFleetWorkerEndToEnd:
         assert "pushed" in out
         total = len(get_suite("lower-bound").cells(smoke=True))
         assert len(ResultStore(tmp_path / "central")) == total
+
+
+class TestFleetMatchesOneMachine:
+    """Two concurrent fleet workers feeding one collector reproduce both
+    offline paths: the collector's ``report`` verb bytes equal ``merge``
+    of the workers' local stores followed by ``report --json``, and the
+    collector's store equals a plain one-machine sweep's, record for
+    record (wall clock and timings stripped)."""
+
+    @pytest.mark.parametrize(
+        "suite_name", ["paper-claims", "charged", "orientation-lists"]
+    )
+    def test_two_workers_match_merge_and_plain_run(
+        self, suite_name, tmp_path, capsys
+    ):
+        suite = get_suite(suite_name)
+        # A 1 s beat keeps every lease alive however busy the test
+        # process gets, so no cell runs twice.
+        collector = ResultCollector(
+            out=tmp_path / "central", listen="127.0.0.1:0", token=TOKEN,
+            heartbeat_interval_s=1.0,
+        )
+        collector.start()
+        try:
+            host, port = collector.tcp_address
+            reports = {}
+
+            def work(name):
+                reports[name] = FleetWorker(
+                    suite, ResultStore(tmp_path / name), f"{host}:{port}",
+                    token=TOKEN, smoke=True, lease_batch=2, name=name,
+                ).run()
+
+            threads = [
+                threading.Thread(target=work, args=(name,))
+                for name in ("w1", "w2")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+            verb = collector_client(collector).report()
+        finally:
+            collector.close()
+        assert sorted(reports) == ["w1", "w2"]
+        assert all(report.ok for report in reports.values())
+        total = len(suite.cells(smoke=True))
+        assert sum(report.executed for report in reports.values()) == total
+        assert collector.accepted == total and collector.duplicates == 0
+
+        assert main([
+            "merge", "--out", str(tmp_path / "merged" / "results.jsonl"),
+            str(tmp_path / "w1" / "results.jsonl"),
+            str(tmp_path / "w2" / "results.jsonl"),
+        ]) == 0
+        assert main([
+            "report", "--out", str(tmp_path / "merged"),
+            "--json", str(tmp_path / "merged.json"),
+        ]) == 0
+        capsys.readouterr()
+        assert verb["json"].encode() == (tmp_path / "merged.json").read_bytes()
+
+        plain = ResultStore(tmp_path / "plain")
+        assert SweepRunner(suite, plain, jobs=1, smoke=True).run().ok
+
+        def semantic(store):
+            return {
+                record["fingerprint"]: {
+                    key: value for key, value in record.items()
+                    if key not in ("wall_clock_s", "timings")
+                }
+                for record in store.records()
+            }
+
+        assert semantic(ResultStore(tmp_path / "central")) == semantic(plain)
 
 
 class TestLeaseStuckSLO:

@@ -17,7 +17,6 @@ from repro.experiments import (
     WorkerPool,
     register_algorithm,
 )
-from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import ALGORITHMS, ANALYTIC_GENERATOR
 
 SUITE = Suite(
@@ -118,22 +117,6 @@ class TestPoolExecution:
         assert first.executed == len(SUITE.cells())
         assert second.executed == 0
         assert second.skipped == second.total_cells == len(SUITE.cells())
-
-    def test_sharded_pool_run(self, tmp_path):
-        with WorkerPool(workers=2) as pool:
-            reports = [
-                SweepRunner(
-                    SUITE,
-                    ResultStore(tmp_path / f"s{index}"),
-                    shard=ShardSpec(index, 2),
-                ).run(pool=pool)
-                for index in range(2)
-            ]
-        assert all(report.ok for report in reports)
-        fps0 = set(normalized(ResultStore(tmp_path / "s0")))
-        fps1 = set(normalized(ResultStore(tmp_path / "s1")))
-        assert not (fps0 & fps1)
-        assert fps0 | fps1 == {c.fingerprint for c in SUITE.cells()}
 
     def test_progress_callback_streams_every_cell(self, tmp_path):
         seen, plans = [], []
