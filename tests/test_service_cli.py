@@ -96,6 +96,20 @@ class TestServeSubmitCli:
         assert excinfo.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--shard", "0/2"], ["--collector", "127.0.0.1:1"]]
+    )
+    def test_submit_retired_flags_are_argparse_errors(
+        self, extra, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "submit", "paper-claims",
+                "--socket", str(tmp_path / "nope.sock"), *extra,
+            ])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+
     def test_submit_without_daemon_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("repro.service.client.DEFAULT_CONNECT_RETRY_S", 0.0)
         assert main([

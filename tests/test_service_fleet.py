@@ -1,7 +1,8 @@
 """Elastic fleet tests: the lease table's scheduling semantics under a
 fake clock, the collector's fleet verbs, the pull-based
 :class:`FleetWorker` loop end to end (including a dead worker whose
-leases are reassigned to a survivor, byte-identical reports included),
+leases are reassigned to a survivor, byte-identical reports included,
+and reruns or overlapping suites leasing only what is not yet done),
 two concurrent workers matching ``merge`` and a one-machine run, the
 retired ``--shard``/``--collector`` flags, the transport-vs-server-error
 split in :class:`CollectorSink`, and a restarted collector skipping
@@ -519,6 +520,71 @@ class TestFleetWorkerEndToEnd:
         assert report.executed == total - done
         assert report.skipped == done
         assert len(ResultStore(tmp_path / "central")) == total
+
+    def test_rerun_after_completion_executes_nothing(self, collector, tmp_path):
+        """A second worker over a finished suite gets no lease: nothing
+        runs twice and the collector's store is unchanged."""
+        run_fleet_worker(TINY, ResultStore(tmp_path / "first"), collector)
+        total = len(TINY.cells())
+        late = ResultStore(tmp_path / "late")
+        worker, report = run_fleet_worker(TINY, late, collector, name="late")
+        assert report.ok
+        assert report.executed == 0 and report.skipped == total
+        assert worker.pushed == 0 and len(late) == 0
+        assert len(ResultStore(tmp_path / "central")) == total
+        assert collector.duplicates == 0
+
+    def test_overlapping_suite_runs_only_the_difference(
+        self, collector, tmp_path
+    ):
+        """Cells are leased by fingerprint, not by suite: a worker whose
+        suite overlaps one already finished runs only the cells it adds."""
+        part = Suite(name=TINY.name, description="", scenarios=TINY.scenarios[1:])
+        run_fleet_worker(part, ResultStore(tmp_path / "part"), collector)
+        done = len(part.cells())
+        worker, report = run_fleet_worker(
+            TINY, ResultStore(tmp_path / "rest"), collector, name="rest"
+        )
+        total = len(TINY.cells())
+        assert report.ok
+        assert report.executed == total - done and report.skipped == done
+        assert len(ResultStore(tmp_path / "central")) == total
+        assert collector.duplicates == 0
+
+    def test_two_workers_local_stores_partition_the_suite(self, tmp_path):
+        # A 1 s beat keeps every lease alive however busy the test
+        # process gets, so no cell runs twice.
+        collector = ResultCollector(
+            out=tmp_path / "central", listen="127.0.0.1:0", token=TOKEN,
+            heartbeat_interval_s=1.0,
+        )
+        collector.start()
+        try:
+            threads = [
+                threading.Thread(
+                    target=run_fleet_worker,
+                    args=(TINY, ResultStore(tmp_path / name), collector),
+                    kwargs=dict(lease_batch=1, name=name),
+                )
+                for name in ("w1", "w2")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            collector.close()
+        local = [
+            {record["fingerprint"] for record in ResultStore(tmp_path / name).records()}
+            for name in ("w1", "w2")
+        ]
+        central = {
+            record["fingerprint"]
+            for record in ResultStore(tmp_path / "central").records()
+        }
+        assert not (local[0] & local[1])
+        assert local[0] | local[1] == central
+        assert central == {cell.fingerprint for cell in TINY.cells()}
 
     def test_failed_cells_are_released_not_retried_forever(
         self, collector, tmp_path

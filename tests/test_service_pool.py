@@ -118,6 +118,24 @@ class TestPoolExecution:
         assert second.executed == 0
         assert second.skipped == second.total_cells == len(SUITE.cells())
 
+    def test_split_suites_on_one_warm_pool_union_to_full(self, tmp_path):
+        """Two sweeps over disjoint scenario subsets of one suite share a
+        warm pool and together write exactly the full suite's records."""
+        halves = [
+            Suite(name=SUITE.name, description="", scenarios=scenarios)
+            for scenarios in (SUITE.scenarios[:1], SUITE.scenarios[1:])
+        ]
+        with WorkerPool(workers=2) as pool:
+            reports = [
+                SweepRunner(half, ResultStore(tmp_path / f"s{index}")).run(pool=pool)
+                for index, half in enumerate(halves)
+            ]
+        assert all(report.ok for report in reports)
+        fps0 = set(normalized(ResultStore(tmp_path / "s0")))
+        fps1 = set(normalized(ResultStore(tmp_path / "s1")))
+        assert not (fps0 & fps1)
+        assert fps0 | fps1 == {c.fingerprint for c in SUITE.cells()}
+
     def test_progress_callback_streams_every_cell(self, tmp_path):
         seen, plans = [], []
         with WorkerPool(workers=2) as pool:
